@@ -3,10 +3,9 @@ per-user achievable rates under embedded-pilot MMSE channel estimation and
 conjugate beamforming, validated against a matrix-level Monte Carlo oracle."""
 
 from .channel import (DdPath, OtfsGrid, PathSet, max_doppler_index,
-                      resample_gains, sample_all_paths, sample_paths)
+                      sample_all_paths, sample_paths)
 from .estimation import (LinkStats, PilotPlan, compute_link_stats,
-                         guard_overhead, interference_constant,
-                         interference_powers, mmse_coeff, plan_pilots,
+                         guard_overhead, mmse_coeff, plan_pilots,
                          sample_estimate)
 from .exceptions import (DistinctDelayError, EstimateStatisticsError,
                          GuardWidthError, IdentityCheckError,
@@ -14,9 +13,8 @@ from .exceptions import (DistinctDelayError, EstimateStatisticsError,
                          PowerControlError)
 from .geometry import (Layout, NetworkConfig, apply_shadowing, path_loss_db,
                        place_network, wrapped_distance)
-from .operators import (alpha_coeff, chi_kappa, chi_kappa_tables, dd_operator,
-                        doppler_spread_sum, effective_channel,
-                        verify_operator_identities)
+from .operators import (chi_kappa, chi_kappa_tables, dd_operator,
+                        effective_channel, verify_operator_identities)
 from .rate import (PowerControl, RateReport, achievable_rate,
                    equal_power_control, power_constraint_load,
                    rate_distinct_delays, sinr_bin, sinr_profile, throughput)

@@ -3,9 +3,8 @@ complex gains for every AP-user pair."""
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,30 +115,6 @@ class PathSet:
     def has_distinct_delays(self) -> bool:
         return len(np.unique(self.delay_taps)) == self.n_paths
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "ap": self.ap,
-                "user": self.user,
-                "delay_taps": self.delay_taps.tolist(),
-                "doppler_taps": self.doppler_taps.tolist(),
-                "frac_dopplers": self.frac_dopplers.tolist(),
-                "variances": self.variances.tolist(),
-                "gains": [[g.real, g.imag] for g in self.gains],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "PathSet":
-        d = json.loads(text)
-        gains = np.array([complex(re, im) for re, im in d["gains"]])
-        return cls(
-            ap=d["ap"], user=d["user"],
-            delay_taps=d["delay_taps"], doppler_taps=d["doppler_taps"],
-            frac_dopplers=d["frac_dopplers"], variances=d["variances"],
-            gains=gains,
-        )
-
 
 def max_doppler_index(speed_kmh: float, grid: OtfsGrid) -> int:
     """Largest integer Doppler tap reached at the given speed.
@@ -198,12 +173,6 @@ def sample_paths(pair_beta: float, n_paths: int, l_max: int, k_max: int,
     gains = sample_cn(rng, variances)
     return PathSet(ap=ap, user=user, delay_taps=delays, doppler_taps=dopplers,
                    frac_dopplers=fracs, variances=variances, gains=gains)
-
-
-def resample_gains(paths: PathSet, seed=None) -> PathSet:
-    """Redraw the small-scale gains, keeping taps and variances fixed."""
-    rng = as_rng(seed)
-    return replace(paths, gains=sample_cn(rng, paths.variances))
 
 
 def sample_all_paths(beta_pair: np.ndarray, n_paths: int, l_max: int,

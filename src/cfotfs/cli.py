@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 
 from . import experiments, montecarlo
 from .channel import OtfsGrid, sample_paths
@@ -30,15 +31,11 @@ def _resolve_config(args) -> experiments.ExperimentConfig:
         config = experiments.load_config(args.config)
     else:
         config = experiments.PRESETS[args.preset]()
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.shadowing is not None:
-        config.shadowing = args.shadowing
-    if getattr(args, "realizations", None) is not None:
-        config.realizations = args.realizations
-    if getattr(args, "workers", None) is not None:
-        config.workers = args.workers
-    return config
+    # replace() re-runs the config's validation on the overridden fields.
+    overrides = {"seed": args.seed, "shadowing": args.shadowing,
+                 "realizations": args.realizations, "workers": args.workers}
+    return replace(config, **{key: value for key, value in overrides.items()
+                              if value is not None})
 
 
 def _add_run_flags(parser, default_out):

@@ -8,8 +8,6 @@ computed in closed form from the network's large-scale coefficients.
 
 from __future__ import annotations
 
-import json
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,14 +47,6 @@ class PilotPlan:
     pilot_power: float  # normalized SNR of the pilot symbol
     n_guard: int
     mode: str = "shared"
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "locations": self.locations.tolist(),
-            "l_max": self.l_max, "k_max": self.k_max, "k_hat": self.k_hat,
-            "pilot_power": self.pilot_power, "n_guard": self.n_guard,
-            "mode": self.mode,
-        })
 
 
 def plan_pilots(n_users: int, grid: OtfsGrid, l_max: int, k_max: int,
@@ -100,46 +90,6 @@ def plan_pilots(n_users: int, grid: OtfsGrid, l_max: int, k_max: int,
                      mode=mode)
 
 
-def interference_powers(beta_at_ap: np.ndarray, q: int, rho_u: float,
-                        n_doppler: int, k_max: int, k_hat: int):
-    """Mean interference powers hitting user q's pilot observation at one AP.
-
-    beta_at_ap[q', i] holds the per-path variances of every user's link to
-    the AP. The first term is the user's own data leakage through
-    fractional-Doppler spreading (data bins outside the Doppler guard,
-    each leaking roughly 1/N^2 of its power); the second is the full
-    spread of all other users' data.
-    """
-    rows = [np.asarray(b, dtype=float) for b in beta_at_ap]
-    guard_span = 4 * k_max + 4 * k_hat + 1
-    if n_doppler <= guard_span:
-        raise GuardWidthError(
-            f"Doppler guard spans {guard_span} bins, frame only has {n_doppler}")
-    own = rows[q].sum()
-    others = sum(r.sum() for r in rows) - own
-    i1 = rho_u * (n_doppler - guard_span) / n_doppler**2 * own
-    i2 = rho_u / n_doppler * others
-    return float(i1), float(i2)
-
-
-def interference_constant(beta_at_ap: np.ndarray, q: int, n_doppler: int,
-                          k_max: int, k_hat: int) -> float:
-    """Aggregate interference constant of user q's pilot at one AP: total
-    spread power per Doppler bin minus the share falling inside the guard.
-
-    Clamped at zero: parameter corners can drive the approximation
-    negative, which is unphysical.
-    """
-    rows = [np.asarray(b, dtype=float) for b in beta_at_ap]
-    guard_span = 4 * k_max + 4 * k_hat + 1
-    xi = (sum(r.sum() for r in rows) / n_doppler
-          - guard_span / n_doppler**2 * rows[q].sum())
-    if xi < 0:
-        warnings.warn("interference constant clamped at zero", RuntimeWarning)
-        return 0.0
-    return float(xi)
-
-
 def mmse_coeff(beta, rho_p: float, rho_u: float, xi):
     """Linear MMSE coefficient for a per-path gain observed through the
     pilot: sqrt(rho_p)*beta / (rho_p*beta + rho_u*xi + 1).
@@ -180,16 +130,6 @@ class LinkStats:
     def n_users(self) -> int:
         return self.beta.shape[1]
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "beta": self.beta.tolist(),
-            "mmse_c": self.mmse_c.tolist(),
-            "gamma": self.gamma.tolist(),
-            "xi": self.xi.tolist(),
-            "rho_p": self.rho_p,
-            "rho_u": self.rho_u,
-        })
-
 
 def compute_link_stats(beta_paths: np.ndarray, plan: PilotPlan, rho_u: float,
                        grid: OtfsGrid) -> LinkStats:
@@ -202,14 +142,14 @@ def compute_link_stats(beta_paths: np.ndarray, plan: PilotPlan, rho_u: float,
     if n <= guard_span:
         raise GuardWidthError(
             f"Doppler guard spans {guard_span} bins, frame only has {n}")
+    # Pilot interference constant: every user's data spreads its link
+    # power over the N Doppler bins, minus the share of user q's own data
+    # that falls inside its guard. With g < N this is at least
+    # P_q (N - g) / N^2 > 0.
     link_power = beta_paths.sum(axis=2)  # (P, Q)
     xi = link_power.sum(axis=1, keepdims=True) / n - guard_span / n**2 * link_power
-    if np.any(xi < 0):
-        warnings.warn("interference constant clamped at zero", RuntimeWarning)
-        xi = np.maximum(xi, 0.0)
     rho_p = plan.pilot_power
-    c = np.sqrt(rho_p) * beta_paths / (rho_p * beta_paths
-                                       + rho_u * xi[..., None] + 1.0)
+    c = mmse_coeff(beta_paths, rho_p, rho_u, xi[..., None])
     gamma = np.sqrt(rho_p) * beta_paths * c
     return LinkStats(beta=beta_paths, mmse_c=c, gamma=gamma, xi=xi,
                      rho_p=rho_p, rho_u=rho_u)

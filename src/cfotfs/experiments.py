@@ -9,7 +9,7 @@ import io
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -83,6 +83,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.realizations < 1:
             raise ValueError("need at least one realization")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.shadowing not in ("corr", "uncorr", "both"):
             raise ValueError(f"unknown shadowing request {self.shadowing!r}")
 
@@ -125,15 +129,24 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return asdict(config)
 
 
+_SECTIONS = {"network": NetworkConfig, "grid": OtfsGrid,
+             "channel": ChannelParams, "powers": PowerParams}
+
+
+def _from_fields(cls, data: dict, section: str):
+    """cls(**data), naming any key that cls has no field for."""
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {section} config key(s): {', '.join(unknown)}")
+    return cls(**data)
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
     data = dict(data)
-    return ExperimentConfig(
-        network=NetworkConfig(**data.pop("network")),
-        grid=OtfsGrid(**data.pop("grid")),
-        channel=ChannelParams(**data.pop("channel", {})),
-        powers=PowerParams(**data.pop("powers", {})),
-        **data,
-    )
+    for key, cls in _SECTIONS.items():
+        if key in data:
+            data[key] = _from_fields(cls, data[key], key)
+    return _from_fields(ExperimentConfig, data, "experiment")
 
 
 def load_config(path) -> ExperimentConfig:

@@ -3,7 +3,6 @@ large-scale fading (three-slope path loss plus log-normal shadowing)."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,24 +57,6 @@ class Layout:
     ap_positions: np.ndarray
     user_positions: np.ndarray
     beta_pair: np.ndarray
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "ap_positions_m": self.ap_positions.tolist(),
-                "user_positions_m": self.user_positions.tolist(),
-                "beta_pair": self.beta_pair.tolist(),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Layout":
-        d = json.loads(text)
-        return cls(
-            ap_positions=np.asarray(d["ap_positions_m"], dtype=float),
-            user_positions=np.asarray(d["user_positions_m"], dtype=float),
-            beta_pair=np.asarray(d["beta_pair"], dtype=float),
-        )
 
 
 def place_network(config: NetworkConfig, seed=None) -> Layout:

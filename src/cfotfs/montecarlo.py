@@ -94,7 +94,8 @@ def estimate_terms(instance: ValidationInstance, q: int, r: int, trials: int,
     channel is paired against every user's estimated channel matrix.
     Trials are split into batches with independent substreams, so the
     estimates do not depend on execution order; standard errors come from
-    the spread of the per-batch statistics.
+    the spread of the per-batch statistics. An integer seed keys the
+    substreams directly; a Generator (or None) draws that key.
     """
     grid = instance.grid
     stats, pc = instance.stats, instance.pc
@@ -110,7 +111,8 @@ def estimate_terms(instance: ValidationInstance, q: int, r: int, trials: int,
 
     t_stacks = [[_operator_stack(instance.pathsets[p][qp], grid)
                  for qp in range(n_users)] for p in range(n_aps)]
-    seed = np.random.SeedSequence(seed).entropy if not isinstance(seed, int) else seed
+    if not isinstance(seed, (int, np.integer)):
+        seed = int(as_rng(seed).integers(2**63))
 
     ds_b = np.zeros(batches, dtype=complex)
     bu_b = np.zeros(batches)
@@ -253,8 +255,8 @@ def validate_rate(instance: ValidationInstance, trials: int, seed=None,
                                        else seed + 7919 * q + 104729 * r))
             ds_cf, bu_cf, isi_cf, iui_cf = rate_mod.closed_form_terms(
                 q, r, instance.stats, instance.pc, instance.pathsets, grid)
-            sinr_cf = rate_mod.sinr_bin(q, r, instance.stats, instance.pc,
-                                        instance.pathsets, instance.rho_d, grid)
+            sinr_cf = float(rate_mod.assemble_sinr(
+                ds_cf, bu_cf + isi_cf + iui_cf, instance.rho_d))
             sinr_emp = est.empirical_sinr(instance.rho_d)
             closed = {"ds": ds_cf, "bu": bu_cf, "isi": isi_cf, "iui": iui_cf}
             empirical = {"ds": est.ds.real, "bu": est.bu_var,

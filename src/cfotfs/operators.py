@@ -12,9 +12,8 @@ r2 the delay coordinate.
 The module provides dense constructors for validation, the per-bin
 coefficient pair (chi, kappa) that weights beamforming uncertainty and
 inter-symbol interference in the closed-form SINR, a fast per-link table
-of those coefficients, the fractional-Doppler spreading coefficient of
-the scalar input-output relation, and numerical checks of the three
-operator identities the rate analysis relies on.
+of those coefficients, and numerical checks of the three operator
+identities the rate analysis relies on.
 """
 
 from __future__ import annotations
@@ -62,13 +61,6 @@ def effective_channel(paths: PathSet, grid: OtfsGrid) -> np.ndarray:
     return h
 
 
-def product_row(path_i: DdPath, path_j: DdPath, r: int, grid: OtfsGrid) -> np.ndarray:
-    """Row r of T_i T_j^H without forming the full product."""
-    t_i = dd_operator(path_i, grid)
-    t_j = dd_operator(path_j, grid)
-    return t_i[r, :] @ t_j.conj().T
-
-
 def _same_taps(path_i: DdPath, path_j: DdPath) -> bool:
     return (path_i.delay_tap == path_j.delay_tap
             and path_i.doppler_tap == path_j.doppler_tap
@@ -87,7 +79,7 @@ def chi_kappa(path_i: DdPath, path_j: DdPath, r: int, grid: OtfsGrid):
         raise ValueError("bin index outside grid")
     if _same_taps(path_i, path_j):
         return 1.0, 0.0
-    row = product_row(path_i, path_j, r, grid)
+    row = dd_operator(path_i, grid)[r, :] @ dd_operator(path_j, grid).conj().T
     diag = row[r]
     off = row.sum() - diag
     return float(abs(diag) ** 2), float(abs(off) ** 2)
@@ -109,71 +101,32 @@ def chi_kappa_tables(paths: PathSet, grid: OtfsGrid):
     a_exp = paths.doppler_taps + paths.frac_dopplers
     n_paths = paths.n_paths
     r2 = np.arange(m)
+    same = ell[:, None] == ell[None, :]
     chi = np.zeros((n_paths, n_paths, m))
     kappa = np.zeros((n_paths, n_paths, m))
     idx = np.arange(n_paths)
     chi[idx, idx, :] = 1.0  # unitary self-product
+    # Delay taps differ: the diagonal entry vanishes and the row sum is a
+    # single unit-magnitude phase.
+    kappa[~same] = 1.0
 
     # The reversed product is the conjugate transpose of the forward one,
     # so both coefficients are symmetric in (i, j): compute the upper
     # triangle and mirror.
-    a_diff = a_exp[:, None] - a_exp[None, :]
-    upper = np.triu(np.ones((n_paths, n_paths), dtype=bool), k=1)
-    same = (ell[:, None] == ell[None, :]) & upper
-
-    ii, jj = np.nonzero(same)
+    ii, jj = np.nonzero(np.triu(same, k=1))
     if len(ii):
         # Same delay tap: the row's block is aligned with the diagonal.
         # diag = mean of the phase ramp over Doppler blocks, rowsum = the
         # ramp's first element.
         grid_idx = np.arange(n)[:, None] * m + r2[None, :]  # (N, M)
         shifted = (grid_idx[None, :, :] - ell[ii][:, None, None]) % mn
-        ramp = np.exp((2j * np.pi / mn) * a_diff[ii, jj][:, None, None] * shifted)
+        a_diff = a_exp[ii] - a_exp[jj]
+        ramp = np.exp((2j * np.pi / mn) * a_diff[:, None, None] * shifted)
         diag = ramp.sum(axis=1) / n  # (pairs, M)
         rowsum = ramp[:, 0, :]
         chi[ii, jj, :] = chi[jj, ii, :] = np.abs(diag) ** 2
         kappa[ii, jj, :] = kappa[jj, ii, :] = np.abs(rowsum - diag) ** 2
-
-    ii, jj = np.nonzero(upper & ~same)
-    if len(ii):
-        # Delay taps differ: the diagonal entry vanishes and the row sum
-        # has unit magnitude up to rounding.
-        shifted = r2[None, :] + (ell[jj] - ell[ii])[:, None]
-        u = np.floor_divide(shifted, m)
-        rows = ((((-u) % n) * m + r2[None, :] - ell[ii][:, None]) % mn)
-        kappa[ii, jj, :] = kappa[jj, ii, :] = np.abs(
-            np.exp((2j * np.pi / mn) * a_diff[ii, jj][:, None] * rows)) ** 2
     return chi, kappa
-
-
-def doppler_spread_sum(c: int, frac_doppler: float, n: int) -> complex:
-    """Geometric Doppler-leakage sum over the N symbols of a frame.
-
-    Equals N when c + kappa is zero and vanishes at integer offsets with
-    zero fractional Doppler; its squared magnitude divided by N^2 is the
-    leaked power at Doppler offset c.
-    """
-    phases = 2 * np.pi * (c + frac_doppler) * np.arange(n) / n
-    return complex(np.exp(1j * phases).sum())
-
-
-def alpha_coeff(k: int, ell: int, c: int, path: DdPath, grid: OtfsGrid) -> complex:
-    """Spreading coefficient of the scalar DD input-output relation at
-    observation bin (k, ell), Doppler offset c, for the given path.
-
-    The second branch (observation delay before the path's tap) carries an
-    extra full-cycle phase and a reduced spreading sum.
-    """
-    m, n = grid.delay_bins, grid.doppler_bins
-    if not 0 <= ell < m:
-        raise ValueError("delay index outside grid")
-    k_p, l_p, kap_p = path.doppler_tap, path.delay_tap, path.frac_doppler
-    spread = doppler_spread_sum(c, kap_p, n)
-    phase = np.exp(-2j * np.pi * (ell - l_p) * (k_p + kap_p) / (m * n))
-    if ell >= l_p:
-        return (spread / n) * phase
-    wrap = np.exp(-2j * np.pi * ((k - k_p + c) % n) / n)
-    return ((spread - 1.0) / n) * phase * wrap
 
 
 @dataclass

@@ -45,13 +45,28 @@ def power_constraint_load(stats: LinkStats, pc: PowerControl) -> np.ndarray:
 
 @dataclass
 class RateReport:
-    """Per-user result: SINR per DD bin (length MN, or 1 when the
-    distinct-delay fast path applies), spectral efficiency and throughput."""
+    """Per-user result: SINR profile over the delay coordinate of the bin
+    (length M, the SINR at bin r being entry r mod M; length 1 when the
+    distinct-delay fast path applies), spectral efficiency and
+    throughput."""
 
     user: int
     sinr: np.ndarray
     rate_bps_hz: float
     throughput_bps: float
+
+
+def _signal_and_interuser(q: int, stats: LinkStats, pc: PowerControl):
+    """Desired-signal mean of user q and the bin-independent power that
+    the other users' precoders deliver to it, both normalized by the
+    downlink SNR."""
+    eta_q = pc.eta[:, q]
+    ds = float(np.sum(np.sqrt(eta_q)[:, None] * stats.gamma[:, q, :]))
+    # Other users' precoders: eta' * (sum_i beta_pq,i) * (sum_j gamma_pq',j).
+    gamma_sums = stats.gamma.sum(axis=2)  # (P, Q)
+    others = np.einsum("pq,pq->p", pc.eta, gamma_sums) - eta_q * gamma_sums[:, q]
+    iui = float(np.sum(stats.beta[:, q, :].sum(axis=1) * others))
+    return ds, iui
 
 
 def _user_terms(q: int, stats: LinkStats, pc: PowerControl,
@@ -68,27 +83,19 @@ def _user_terms(q: int, stats: LinkStats, pc: PowerControl,
     eta_q = pc.eta[:, q]
     gamma_q = stats.gamma[:, q, :]
     beta_q = stats.beta[:, q, :]
-    ds = float(np.sum(np.sqrt(eta_q)[:, None] * gamma_q))
     bu = np.zeros(m)
     isi = np.zeros(m)
     for p in range(stats.n_aps):
         chi, kappa = chi_kappa_tables(pathsets[p][q], grid)
-        # A path paired with itself contributes beta_i*gamma_i exactly
-        # (unit diagonal, zero row residual); cross pairs go through the
-        # tables. kappa already has a zero diagonal.
-        idx = np.arange(chi.shape[0])
-        chi[idx, idx, :] = 0.0
-        bu += eta_q[p] * (beta_q[p] @ gamma_q[p]
-                          + np.einsum("i,ijr,j->r", beta_q[p], chi, gamma_q[p]))
+        bu += eta_q[p] * np.einsum("i,ijr,j->r", beta_q[p], chi, gamma_q[p])
         isi += eta_q[p] * np.einsum("i,ijr,j->r", beta_q[p], kappa, gamma_q[p])
-    # Other users' precoders: eta' * (sum_i beta_pq,i) * (sum_j gamma_pq',j).
-    gamma_sums = stats.gamma.sum(axis=2)  # (P, Q)
-    others = np.einsum("pq,pq->p", pc.eta, gamma_sums) - eta_q * gamma_sums[:, q]
-    iui = float(np.sum(beta_q.sum(axis=1) * others))
+    ds, iui = _signal_and_interuser(q, stats, pc)
     return ds, bu, isi, iui
 
 
-def _assemble_sinr(ds: float, interference, rho_d: float):
+def assemble_sinr(ds: float, interference, rho_d: float):
+    """SINR from the desired-signal mean and the total interference power,
+    both normalized by the downlink SNR rho_d."""
     return rho_d * ds**2 / (rho_d * np.asarray(interference) + 1.0)
 
 
@@ -97,7 +104,7 @@ def sinr_profile(q: int, stats: LinkStats, pc: PowerControl, pathsets: list,
     """Closed-form SINR of user q over the delay coordinate (length M);
     the value at bin r is entry r mod M."""
     ds, bu, isi, iui = _user_terms(q, stats, pc, pathsets, grid)
-    return _assemble_sinr(ds, bu + isi + iui, rho_d)
+    return assemble_sinr(ds, bu + isi + iui, rho_d)
 
 
 def sinr_bin(q: int, r: int, stats: LinkStats, pc: PowerControl,
@@ -129,8 +136,9 @@ def throughput(report_or_rate, grid: OtfsGrid) -> float:
 def achievable_rate(q: int, stats: LinkStats, pc: PowerControl,
                     pathsets: list, rho_d: float, grid: OtfsGrid) -> RateReport:
     """Per-user achievable rate: mean of log2(1 + SINR) over all MN bins."""
-    profile = sinr_profile(q, stats, pc, pathsets, rho_d, grid)
-    sinr = np.tile(profile, grid.doppler_bins)
+    sinr = sinr_profile(q, stats, pc, pathsets, rho_d, grid)
+    # Every Doppler coordinate repeats the profile, so its mean is the
+    # mean over all MN bins.
     rate = float(np.mean(np.log2(1.0 + sinr)))
     return RateReport(user=q, sinr=sinr, rate_bps_hz=rate,
                       throughput_bps=rate * grid.bandwidth_hz)
@@ -149,15 +157,10 @@ def rate_distinct_delays(q: int, stats: LinkStats, pc: PowerControl,
         if not pathsets[p][q].has_distinct_delays():
             raise DistinctDelayError(
                 f"link (ap={p}, user={q}) repeats a delay tap")
-    eta_q = pc.eta[:, q]
-    gamma_q = stats.gamma[:, q, :]
-    beta_q = stats.beta[:, q, :]
-    ds = float(np.sum(np.sqrt(eta_q)[:, None] * gamma_q))
-    intra = float(np.sum(eta_q * beta_q.sum(axis=1) * gamma_q.sum(axis=1)))
-    gamma_sums = stats.gamma.sum(axis=2)
-    others = np.einsum("pq,pq->p", pc.eta, gamma_sums) - eta_q * gamma_sums[:, q]
-    iui = float(np.sum(beta_q.sum(axis=1) * others))
-    sinr = _assemble_sinr(ds, intra + iui, rho_d)
+    ds, iui = _signal_and_interuser(q, stats, pc)
+    intra = float(np.sum(pc.eta[:, q] * stats.beta[:, q, :].sum(axis=1)
+                         * stats.gamma[:, q, :].sum(axis=1)))
+    sinr = assemble_sinr(ds, intra + iui, rho_d)
     rate = float(np.log2(1.0 + sinr))
     return RateReport(user=q, sinr=np.array([sinr]), rate_bps_hz=rate,
                       throughput_bps=rate * grid.bandwidth_hz)

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cfotfs.channel import (OtfsGrid, PathSet, max_doppler_index,
-                            resample_gains, sample_all_paths, sample_paths,
-                            stack_variances)
+                            sample_all_paths, sample_paths, stack_variances)
 from cfotfs.exceptions import InfeasibleConfigError
 
 PAPER_GRID = OtfsGrid(doppler_bins=20, delay_bins=30, delta_f_hz=15e3,
@@ -57,13 +56,20 @@ class TestSamplePaths:
 
     def test_total_power_converges_to_pair_beta(self):
         pair_beta = 0.7
-        ps = sample_paths(pair_beta, 4, 2, 3, PAPER_GRID, seed=1)
         rng = np.random.default_rng(2)
-        total = np.mean([
-            np.sum(np.abs(resample_gains(ps, rng).gains) ** 2)
-            for _ in range(10_000)
-        ])
+        draws = np.array([sample_paths(pair_beta, 4, 2, 3, PAPER_GRID,
+                                       rng).gains for _ in range(10_000)])
+        total = np.mean(np.sum(np.abs(draws) ** 2, axis=1))
         assert total == pytest.approx(pair_beta, rel=0.03)
+        # Per-path variance and real/imag split.
+        variance = pair_beta / 4
+        np.testing.assert_allclose(np.mean(np.abs(draws) ** 2, axis=0),
+                                   variance, rtol=0.05)
+        np.testing.assert_allclose(draws.real.var(axis=0), variance / 2,
+                                   rtol=0.08)
+        # Cross-correlation between different paths: zero within 3 SE.
+        cross = np.mean(draws[:, 0] * np.conj(draws[:, 1]))
+        assert abs(cross) < 3.0 * variance / np.sqrt(len(draws))
 
     def test_uniform_profile_splits_pair_power(self):
         ps = sample_paths(0.9, 3, 2, 1, PAPER_GRID, seed=3)
@@ -93,6 +99,13 @@ class TestSamplePaths:
         with pytest.raises(ValueError):
             sample_paths(1.0, 2, 2, 2, grid, seed=0)
 
+    def test_zero_variance_rejected(self):
+        with pytest.raises(ValueError):
+            PathSet(ap=0, user=0, delay_taps=[0], doppler_taps=[0],
+                    frac_dopplers=[0.0], variances=[0.0], gains=[0.0])
+        with pytest.raises(ValueError):
+            sample_paths(0.0, 2, 2, 1, PAPER_GRID, seed=0)
+
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_paths=st.integers(1, 6),
            l_max=st.integers(0, 7), k_max=st.integers(0, 2))
@@ -103,44 +116,6 @@ class TestSamplePaths:
         assert np.all(np.abs(ps.doppler_taps) <= k_max)
         assert np.all(np.abs(ps.frac_dopplers) < 0.5)
         assert np.all(ps.variances > 0)
-
-
-class TestResampleGains:
-    def test_deterministic(self):
-        ps = sample_paths(1.0, 3, 2, 1, PAPER_GRID, seed=5)
-        a = resample_gains(ps, seed=6)
-        b = resample_gains(ps, seed=6)
-        np.testing.assert_array_equal(a.gains, b.gains)
-        np.testing.assert_array_equal(a.delay_taps, ps.delay_taps)
-
-    def test_per_path_moments(self):
-        ps = sample_paths(1.0, 2, 2, 1, PAPER_GRID, seed=7)
-        rng = np.random.default_rng(8)
-        draws = np.array([resample_gains(ps, rng).gains
-                          for _ in range(10_000)])
-        # Per-path variance and real/imag split.
-        var = np.mean(np.abs(draws) ** 2, axis=0)
-        np.testing.assert_allclose(var, ps.variances, rtol=0.05)
-        np.testing.assert_allclose(draws.real.var(axis=0),
-                                   ps.variances / 2, rtol=0.08)
-        # Cross-correlation between different paths: zero within 3 SE.
-        cross = np.mean(draws[:, 0] * np.conj(draws[:, 1]))
-        se = np.sqrt(ps.variances[0] * ps.variances[1] / len(draws))
-        assert abs(cross) < 3.0 * se
-
-    def test_zero_variance_rejected(self):
-        with pytest.raises(ValueError):
-            PathSet(ap=0, user=0, delay_taps=[0], doppler_taps=[0],
-                    frac_dopplers=[0.0], variances=[0.0], gains=[0.0])
-
-
-def test_pathset_json_roundtrip():
-    ps = sample_paths(0.5, 4, 2, 3, PAPER_GRID, seed=9)
-    again = PathSet.from_json(ps.to_json())
-    np.testing.assert_array_equal(again.delay_taps, ps.delay_taps)
-    np.testing.assert_array_equal(again.doppler_taps, ps.doppler_taps)
-    np.testing.assert_allclose(again.frac_dopplers, ps.frac_dopplers)
-    np.testing.assert_allclose(again.gains, ps.gains)
 
 
 def test_sample_all_paths_shape_and_stacking():

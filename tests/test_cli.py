@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from cfotfs import cli, experiments
 
 
@@ -63,6 +65,26 @@ def test_config_file_round_trip(tmp_path):
     cli.main(["run-cdf", "--preset", "desk", "--realizations", "2",
               "--seed", "9", "--out", str(out2)])
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_unknown_config_key_rejected(tmp_path):
+    data = experiments.config_to_dict(experiments.desk_preset())
+    data["worker"] = 2
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="experiment config key.*worker"):
+        cli.main(["run-cdf", "--config", str(cfg_path),
+                  "--out", str(tmp_path / "cdf.csv")])
+
+
+@pytest.mark.parametrize("flags, field", [(["--seed", "-1"], "seed"),
+                                          (["--workers", "0"], "workers")])
+def test_bad_override_rejected_before_running(tmp_path, flags, field):
+    out = tmp_path / "cdf.csv"
+    with pytest.raises(ValueError, match=field):
+        cli.main(["run-cdf", "--realizations", "1", "--out", str(out)]
+                 + flags)
+    assert not out.exists()
 
 
 def test_validate_command(tmp_path, capsys):

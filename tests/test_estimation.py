@@ -1,13 +1,10 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cfotfs.channel import OtfsGrid
-from cfotfs.estimation import (LinkStats, compute_link_stats, guard_overhead,
-                               interference_constant, interference_powers,
-                               mmse_coeff, plan_pilots, sample_estimate)
+from cfotfs.estimation import (compute_link_stats, guard_overhead, mmse_coeff,
+                               plan_pilots, sample_estimate)
 from cfotfs.exceptions import (EstimateStatisticsError, GuardWidthError,
                                PilotOverheadError)
 
@@ -65,41 +62,39 @@ class TestPlanPilots:
 
 
 class TestInterferencePowers:
+    """The pilot interference constant xi of compute_link_stats: the own
+    data's fractional-Doppler leakage outside the guard plus the full
+    spread of the other users' data."""
+
     def test_single_user_no_cross_interference(self):
-        beta = np.array([[0.4, 0.6]])
-        _, i2 = interference_powers(beta, 0, rho_u=1.0, n_doppler=20,
-                                    k_max=3, k_hat=1)
-        assert i2 == 0.0
+        beta = np.array([[[0.4, 0.6]]])
+        plan = plan_pilots(1, PAPER_GRID, 2, 3, 1)
+        stats = compute_link_stats(beta, plan, 1.0, PAPER_GRID)
+        # Only the own leakage remains: (N - g) / N^2 * P_q.
+        assert stats.xi[0, 0] == pytest.approx((20 - 17) / 20**2 * 1.0,
+                                               rel=1e-12)
 
     def test_zero_uplink_power(self):
-        beta = np.array([[0.4, 0.6], [1.0, 2.0]])
-        assert interference_powers(beta, 0, 0.0, 20, 3, 1) == (0.0, 0.0)
+        # Without uplink data nothing interferes with the pilot: the MMSE
+        # coefficient is the interference-free one.
+        beta = np.array([[[0.4, 0.6], [1.0, 2.0]]])
+        plan = plan_pilots(2, PAPER_GRID, 2, 3, 1, pilot_power=3.0)
+        stats = compute_link_stats(beta, plan, 0.0, PAPER_GRID)
+        np.testing.assert_allclose(
+            stats.mmse_c, np.sqrt(3.0) * beta / (3.0 * beta + 1.0), rtol=1e-15)
 
     def test_paper_arithmetic(self):
         # (20 - 17)/400 * 2 = 0.015 for the own-user leakage.
-        beta = np.array([[1.2, 0.8]])
-        i1, _ = interference_powers(beta, 0, 1.0, 20, 3, 1)
-        assert i1 == pytest.approx(0.015)
+        beta = np.array([[[1.2, 0.8]]])
+        plan = plan_pilots(1, PAPER_GRID, 2, 3, 1)
+        stats = compute_link_stats(beta, plan, 1.0, PAPER_GRID)
+        assert stats.xi[0, 0] == pytest.approx(0.015)
 
     def test_guard_exceeds_frame(self):
-        beta = np.array([[1.0]])
+        plan = plan_pilots(1, PAPER_GRID, 2, 3, 1)
         with pytest.raises(GuardWidthError):
-            interference_powers(beta, 0, 1.0, n_doppler=17, k_max=3, k_hat=1)
-
-    def test_consistency_with_interference_constant(self):
-        # The aggregate constant equals the per-source powers over rho_u.
-        rng = np.random.default_rng(0)
-        beta = rng.uniform(0.1, 2.0, size=(4, 3))
-        rho_u = 1.7
-        i1, i2 = interference_powers(beta, 1, rho_u, 20, 3, 1)
-        xi = interference_constant(beta, 1, 20, 3, 1)
-        assert xi == pytest.approx((i1 + i2) / rho_u, rel=1e-12)
-
-    def test_constant_clamped_when_guard_dominates(self):
-        with pytest.warns(RuntimeWarning):
-            xi = interference_constant(np.array([[1.0]]), 0, n_doppler=3,
-                                       k_max=1, k_hat=0)
-        assert xi == 0.0
+            compute_link_stats(np.ones((1, 1, 1)), plan, 1.0,
+                               OtfsGrid(doppler_bins=16, delay_bins=30))
 
 
 class TestMmseCoeff:
@@ -185,7 +180,10 @@ class TestComputeLinkStats:
         assert np.all(stats.gamma <= stats.beta)
         np.testing.assert_allclose(
             stats.gamma, np.sqrt(stats.rho_p) * stats.beta * stats.mmse_c)
-        assert np.all(stats.xi >= 0)
+        # Once the guard fits the frame (g = 17 < N = 20), xi is bounded
+        # away from zero by the own leakage P_q (N - g) / N^2.
+        own_leakage = (20 - 17) / 20**2 * beta.sum(axis=2)
+        assert np.all(stats.xi >= own_leakage * (1 - 1e-12))
 
     def test_matches_scalar_path(self):
         rng = np.random.default_rng(3)
@@ -193,9 +191,14 @@ class TestComputeLinkStats:
         plan = plan_pilots(3, PAPER_GRID, 2, 3, 1, pilot_power=2e10)
         rho_u = 5e8
         stats = compute_link_stats(beta, plan, rho_u, PAPER_GRID)
+        n, guard_span = 20, 17
+        link_power = beta.sum(axis=2)
         for p in range(2):
             for q in range(3):
-                xi = interference_constant(beta[p], q, 20, 3, 1)
+                # Own leakage outside the guard plus the others' spread.
+                others = link_power[p].sum() - link_power[p, q]
+                xi = ((n - guard_span) / n**2 * link_power[p, q]
+                      + others / n)
                 assert stats.xi[p, q] == pytest.approx(xi, rel=1e-12)
                 for i in range(4):
                     c = mmse_coeff(beta[p, q, i], 2e10, rho_u, xi)
@@ -207,11 +210,3 @@ class TestComputeLinkStats:
         small = OtfsGrid(doppler_bins=17, delay_bins=30)
         with pytest.raises(GuardWidthError):
             compute_link_stats(beta, plan, 1.0, small)
-
-    def test_json_dump(self):
-        beta = np.full((1, 2, 2), 1e-10)
-        plan = plan_pilots(2, PAPER_GRID, 2, 3, 1, pilot_power=1e10)
-        stats = compute_link_stats(beta, plan, 1e9, PAPER_GRID)
-        data = json.loads(stats.to_json())
-        assert np.asarray(data["gamma"]).shape == (1, 2, 2)
-        assert data["rho_p"] == 1e10

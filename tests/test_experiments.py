@@ -137,6 +137,18 @@ class TestConfigPlumbing:
         path.write_text(json.dumps(experiments.config_to_dict(cfg)))
         assert experiments.load_config(path) == cfg
 
+    def test_workers_must_be_positive(self):
+        with pytest.raises(ValueError, match="workers"):
+            experiments.ExperimentConfig(
+                network=NetworkConfig(num_aps=2, num_users=1),
+                grid=OtfsGrid(doppler_bins=4, delay_bins=8), workers=0)
+
+    def test_unknown_key_named(self):
+        data = experiments.config_to_dict(tiny_config())
+        data["channel"]["n_path"] = 3
+        with pytest.raises(ValueError, match="channel config key.*n_path"):
+            experiments.config_from_dict(data)
+
     def test_presets(self):
         desk = experiments.desk_preset()
         paper = experiments.paper_preset()

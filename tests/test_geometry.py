@@ -158,11 +158,3 @@ class TestShadowing:
             samples.append(10.0 * np.log10(beta / pl_lin)[far])
         samples = np.array(samples)
         assert samples.std(axis=0) == pytest.approx(8.0, rel=0.1)
-
-
-def test_layout_json_roundtrip():
-    cfg = make_config()
-    layout = apply_shadowing(place_network(cfg, seed=0), cfg, seed=1)
-    again = Layout.from_json(layout.to_json())
-    np.testing.assert_allclose(again.beta_pair, layout.beta_pair)
-    np.testing.assert_allclose(again.ap_positions, layout.ap_positions)

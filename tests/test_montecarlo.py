@@ -80,6 +80,14 @@ class TestEstimateTerms:
         assert a.ds == b.ds and a.bu_var == b.bu_var
         assert a.isi_power == b.isi_power and a.iui_power == b.iui_power
 
+    def test_generator_seed(self):
+        inst = desk_instance(2)
+        a = estimate_terms(inst, q=0, r=2, trials=400,
+                           seed=np.random.default_rng(9))
+        b = estimate_terms(inst, q=0, r=2, trials=400,
+                           seed=np.random.default_rng(9))
+        assert a == b
+
 
 class TestValidateRate:
     def test_desk_instance_passes_gate(self):

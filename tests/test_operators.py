@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cfotfs.channel import DdPath, OtfsGrid, PathSet, sample_paths
 from cfotfs.exceptions import IdentityCheckError
-from cfotfs.operators import (alpha_coeff, chi_kappa, chi_kappa_tables,
-                              dd_operator, doppler_spread_sum,
+from cfotfs.operators import (chi_kappa, chi_kappa_tables, dd_operator,
                               effective_channel, verify_operator_identities)
 
 
@@ -162,6 +161,32 @@ class TestChiKappa:
                         assert kap == pytest.approx(
                             kap_t[i, j, r % 8], abs=1e-10)
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 7), m=st.integers(2, 6),
+           dopplers=st.lists(st.tuples(st.integers(-2, 2),
+                                       st.floats(-0.49, 0.49)),
+                             min_size=3, max_size=4),
+           free_delays=st.tuples(st.integers(0, 5), st.integers(0, 5)))
+    @example(n=5, m=3, dopplers=[(1, 0.0), (-1, 0.0), (0, 0.25), (2, -0.3)],
+             free_delays=(0, 2))
+    def test_tables_match_dense_reference(self, n, m, dopplers, free_delays):
+        # Paths 0 and 1 share the wrap-around tap M - 1 with different
+        # Doppler; path 2 has a smaller tap (a distinct-delay pair with
+        # both); path 3, if drawn, may repeat any tap.
+        assume(dopplers[0] != dopplers[1])
+        delays = [m - 1, m - 1, free_delays[0] % (m - 1),
+                  free_delays[1] % m][:len(dopplers)]
+        ps = make_pathset(delays, [k for k, _ in dopplers],
+                          fracs=[f for _, f in dopplers])
+        grid = OtfsGrid(doppler_bins=n, delay_bins=m)
+        chi_t, kap_t = chi_kappa_tables(ps, grid)
+        for i in range(ps.n_paths):
+            for j in range(ps.n_paths):
+                for r in range(grid.size):
+                    chi, kap = chi_kappa(ps.path(i), ps.path(j), r, grid)
+                    assert chi == pytest.approx(chi_t[i, j, r % m], abs=1e-10)
+                    assert kap == pytest.approx(kap_t[i, j, r % m], abs=1e-10)
+
     def test_doppler_coordinate_invariance(self):
         # chi/kappa at bins sharing a delay coordinate agree across the
         # Doppler coordinate, including with repeated delay taps.
@@ -175,43 +200,69 @@ class TestChiKappa:
             assert np.ptp(kaps) < 1e-12
 
 
+def spread_entry(t, path, grid, k, ell, c):
+    """Entry of a dense path operator coupling input bin
+    (k - k_p + c, ell - l_p) into output bin (k, ell): the spreading
+    coefficient alpha of the scalar DD input-output relation at Doppler
+    offset c."""
+    m, n = grid.delay_bins, grid.doppler_bins
+    col = ((k - path.doppler_tap + c) % n) * m + (ell - path.delay_tap) % m
+    return t[k * m + ell, col]
+
+
+def dirichlet_power(c, frac, n):
+    """|sum_n exp(j2pi(c + frac)n/N)|^2 / N^2: the power leaked to
+    Doppler offset c."""
+    return abs(np.exp(2j * np.pi * (c + frac) * np.arange(n) / n).sum()) ** 2 / n**2
+
+
 class TestAlphaCoeff:
     def test_integer_doppler_center_has_unit_magnitude(self):
-        # The spreading sum hits its peak value N at zero offset, so the
-        # first-branch coefficient has magnitude 1.
-        grid = OtfsGrid(doppler_bins=20, delay_bins=30)
-        assert doppler_spread_sum(0, 0.0, 20) == pytest.approx(20.0)
-        a = alpha_coeff(k=3, ell=5, c=0, path=make_path(2, 1, 0.0), grid=grid)
-        assert abs(a) == pytest.approx(1.0)
+        grid = OtfsGrid(doppler_bins=20, delay_bins=8)
+        path = make_path(2, 1, 0.0)
+        t = dd_operator(path, grid)
+        assert abs(spread_entry(t, path, grid, k=3, ell=5, c=0)) == \
+            pytest.approx(1.0)
 
     def test_integer_doppler_no_spread(self):
-        grid = OtfsGrid(doppler_bins=20, delay_bins=30)
+        grid = OtfsGrid(doppler_bins=20, delay_bins=8)
+        path = make_path(2, 1, 0.0)
+        t = dd_operator(path, grid)
         for c in (-7, -1, 1, 4, 9):
-            a = alpha_coeff(k=3, ell=5, c=c, path=make_path(2, 1, 0.0),
-                            grid=grid)
-            assert abs(a) == pytest.approx(0.0, abs=1e-12)
+            assert abs(spread_entry(t, path, grid, k=3, ell=5, c=c)) == \
+                pytest.approx(0.0, abs=1e-12)
 
     def test_fractional_spread_power_near_uniform(self):
-        # Fractional Doppler 0.3 on a 20-bin axis: outside a Doppler guard
-        # of half-width 2*k_max + 2*k_hat = 4 the leaked power per bin is
-        # approximately 1/N^2.
+        # Fractional Doppler 0.3 on a 20-bin axis: every entry carries the
+        # Dirichlet leakage power, and outside a Doppler guard of
+        # half-width 2*k_max + 2*k_hat = 4 the leaked power per bin is
+        # approximately 1/N^2, as the pilot interference constant assumes.
         n = 20
-        grid = OtfsGrid(doppler_bins=n, delay_bins=30)
+        grid = OtfsGrid(doppler_bins=n, delay_bins=8)
         path = make_path(2, 1, 0.3)
+        t = dd_operator(path, grid)
+        powers = {c: abs(spread_entry(t, path, grid, k=0, ell=5, c=c)) ** 2
+                  for c in range(-n // 2, n // 2)}
+        for c, power in powers.items():
+            assert power == pytest.approx(dirichlet_power(c, 0.3, n),
+                                          abs=1e-14)
         guard_half = 2 * 2 + 2 * 0  # k_max=2, k_hat=0
-        powers = [
-            abs(alpha_coeff(k=0, ell=5, c=c, path=path, grid=grid)) ** 2
-            for c in range(-n // 2, n // 2)
-            if abs(c) > guard_half
-        ]
-        assert np.mean(powers) == pytest.approx(1.0 / n**2, rel=0.2)
+        outside = [p for c, p in powers.items() if abs(c) > guard_half]
+        assert np.mean(outside) == pytest.approx(1.0 / n**2, rel=0.2)
 
-    def test_second_branch_magnitude_reduced_sum(self):
+    def test_second_branch_full_spread_sum(self):
+        # Observation delays before the path's tap wrap around the frame;
+        # the coupled entry picks up a phase but keeps the full Dirichlet
+        # magnitude.
         grid = OtfsGrid(doppler_bins=8, delay_bins=4)
         path = make_path(3, 1, 0.25)
-        a = alpha_coeff(k=2, ell=1, c=1, path=path, grid=grid)
-        expected = abs(doppler_spread_sum(1, 0.25, 8) - 1.0) / 8.0
-        assert abs(a) == pytest.approx(expected)
+        t = dd_operator(path, grid)
+        for k in range(8):
+            for ell in range(3):
+                for c in range(-4, 4):
+                    power = abs(spread_entry(t, path, grid, k, ell, c)) ** 2
+                    assert power == pytest.approx(
+                        dirichlet_power(c, 0.25, 8), abs=1e-14)
 
 
 class TestIdentityChecks:

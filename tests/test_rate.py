@@ -129,7 +129,7 @@ class TestAchievableRate:
         inst = random_instance(3)
         report = achievable_rate(0, inst.stats, inst.pc, inst.pathsets,
                                  inst.rho_d, inst.grid)
-        assert report.sinr.shape == (inst.grid.size,)
+        assert report.sinr.shape == (inst.grid.delay_bins,)
         assert report.rate_bps_hz == pytest.approx(
             np.mean(np.log2(1.0 + report.sinr)))
         assert report.throughput_bps == pytest.approx(
