@@ -61,15 +61,21 @@ class TestSamplePaths:
                                        rng).gains for _ in range(10_000)])
         total = np.mean(np.sum(np.abs(draws) ** 2, axis=1))
         assert total == pytest.approx(pair_beta, rel=0.03)
+
+    def test_per_path_moments(self):
+        variances = sample_paths(1.0, 2, 2, 1, PAPER_GRID, seed=7).variances
+        rng = np.random.default_rng(8)
+        draws = np.array([sample_paths(1.0, 2, 2, 1, PAPER_GRID, rng).gains
+                          for _ in range(10_000)])
         # Per-path variance and real/imag split.
-        variance = pair_beta / 4
-        np.testing.assert_allclose(np.mean(np.abs(draws) ** 2, axis=0),
-                                   variance, rtol=0.05)
-        np.testing.assert_allclose(draws.real.var(axis=0), variance / 2,
+        var = np.mean(np.abs(draws) ** 2, axis=0)
+        np.testing.assert_allclose(var, variances, rtol=0.05)
+        np.testing.assert_allclose(draws.real.var(axis=0), variances / 2,
                                    rtol=0.08)
         # Cross-correlation between different paths: zero within 3 SE.
         cross = np.mean(draws[:, 0] * np.conj(draws[:, 1]))
-        assert abs(cross) < 3.0 * variance / np.sqrt(len(draws))
+        se = np.sqrt(variances[0] * variances[1] / len(draws))
+        assert abs(cross) < 3.0 * se
 
     def test_uniform_profile_splits_pair_power(self):
         ps = sample_paths(0.9, 3, 2, 1, PAPER_GRID, seed=3)

@@ -96,6 +96,21 @@ class TestInterferencePowers:
             compute_link_stats(np.ones((1, 1, 1)), plan, 1.0,
                                OtfsGrid(doppler_bins=16, delay_bins=30))
 
+    def test_consistency_with_interference_constant(self):
+        # The constant equals the per-source interference powers over
+        # rho_u, so it does not depend on the uplink power.
+        rng = np.random.default_rng(0)
+        beta = rng.uniform(0.1, 2.0, size=(1, 4, 3))
+        plan = plan_pilots(4, PAPER_GRID, 2, 3, 1)
+        link_power = beta[0].sum(axis=1)
+        for rho_u in (1.7, 40.0):
+            stats = compute_link_stats(beta, plan, rho_u, PAPER_GRID)
+            for q in range(4):
+                i1 = rho_u * (20 - 17) / 20**2 * link_power[q]
+                i2 = rho_u * (link_power.sum() - link_power[q]) / 20
+                assert stats.xi[0, q] == pytest.approx((i1 + i2) / rho_u,
+                                                       rel=1e-12)
+
 
 class TestMmseCoeff:
     def test_interference_free_high_power_limit(self):
