@@ -17,6 +17,6 @@ from .operators import (chi_kappa, chi_kappa_tables, dd_operator,
                         effective_channel, verify_operator_identities)
 from .rate import (PowerControl, RateReport, achievable_rate,
                    equal_power_control, power_constraint_load,
-                   rate_distinct_delays, sinr_bin, sinr_profile, throughput)
+                   rate_distinct_delays, sinr_bin, throughput)
 
 __version__ = "0.1.0"

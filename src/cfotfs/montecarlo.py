@@ -240,23 +240,28 @@ def validate_rate(instance: ValidationInstance, trials: int, seed=None,
     Checks every requested (user, bin): each of the four terms against its
     3-standard-error band and the assembled SINR against the relative
     gate. Also flags, per user, empirical SINR spread across bins that
-    exceeds the statistical noise scale.
+    exceeds the statistical noise scale. Each (user, bin) simulates from
+    a seed drawn from the master seed's substream keyed by (user, bin); a
+    Generator (or None) draws that master.
     """
     grid = instance.grid
     users = range(instance.stats.n_users) if users is None else users
     bins = _default_bins(grid) if bins is None else list(bins)
+    if not isinstance(seed, (int, np.integer)):
+        seed = int(as_rng(seed).integers(2**63))
     report = ValidationReport(gate=gate, trials=trials)
     for q in users:
+        # The closed form takes the same value at every bin.
+        ds_cf, bu_cf, isi_cf, iui_cf = rate_mod.closed_form_terms(
+            q, 0, instance.stats, instance.pc, instance.pathsets, grid)
+        sinr_cf = float(rate_mod.assemble_sinr(
+            ds_cf, bu_cf + isi_cf + iui_cf, instance.rho_d))
         emp_sinrs = []
         noise_scales = []
         for r in bins:
+            key = np.random.SeedSequence(seed, spawn_key=(q, r))
             est = estimate_terms(instance, q, r, trials,
-                                 seed=(None if seed is None
-                                       else seed + 7919 * q + 104729 * r))
-            ds_cf, bu_cf, isi_cf, iui_cf = rate_mod.closed_form_terms(
-                q, r, instance.stats, instance.pc, instance.pathsets, grid)
-            sinr_cf = float(rate_mod.assemble_sinr(
-                ds_cf, bu_cf + isi_cf + iui_cf, instance.rho_d))
+                                 seed=int(key.generate_state(1)[0]))
             sinr_emp = est.empirical_sinr(instance.rho_d)
             closed = {"ds": ds_cf, "bu": bu_cf, "isi": isi_cf, "iui": iui_cf}
             empirical = {"ds": est.ds.real, "bu": est.bu_var,

@@ -11,9 +11,11 @@ r2 the delay coordinate.
 
 The module provides dense constructors for validation, the per-bin
 coefficient pair (chi, kappa) that weights beamforming uncertainty and
-inter-symbol interference in the closed-form SINR, a fast per-link table
-of those coefficients, and numerical checks of the three operator
-identities the rate analysis relies on.
+inter-symbol interference in the closed-form SINR, and numerical checks
+of the three operator identities the rate analysis relies on. The pair
+does not depend on the bin at all: chi_kappa_tables evaluates it once per
+path pair in closed form, batched over any leading axes (every AP of a
+user at once), and the dense per-bin chi_kappa stays as its reference.
 """
 
 from __future__ import annotations
@@ -85,47 +87,36 @@ def chi_kappa(path_i: DdPath, path_j: DdPath, r: int, grid: OtfsGrid):
     return float(abs(diag) ** 2), float(abs(off) ** 2)
 
 
-def chi_kappa_tables(paths: PathSet, grid: OtfsGrid):
-    """Per-pair (chi, kappa) profiles over the delay coordinate.
+def chi_kappa_tables(delay_taps, doppler, doppler_bins: int):
+    """(chi, kappa) of every path pair, the same at every bin.
 
-    Returns arrays of shape (L, L, M): both coefficients are constant in
-    the Doppler coordinate of the bin, so entry [i, j, r2] is the value at
-    every bin r with r mod M == r2. Exploits the sparsity of T_i T_j^H:
-    its row r has nonzero entries only in the delay block shifted by the
-    tap difference, and the block collapses to closed expressions in the
-    Doppler phase ramp.
+    delay_taps and doppler (integer tap plus fractional part) are arrays
+    shaped (..., L), for instance one row per AP of a user; both returned
+    arrays are shaped (..., L, L). A pair with distinct delay taps gives
+    (0, 1): the diagonal entry of T_i T_j^H vanishes and its row sum is a
+    single unit phase. A pair sharing a delay tap gives (|D|^2, |1 - D|^2)
+    with D the Dirichlet kernel of the Doppler difference d,
+
+        D = (1/N) sum_n exp(j2pi d n/N)
+          = exp(j pi d (N-1)/N) sin(pi d) / (N sin(pi d/N)),
+
+    which is 1 when d is a multiple of N (the diagonal among them).
     """
-    m, n = grid.delay_bins, grid.doppler_bins
-    mn = m * n
-    ell = paths.delay_taps
-    a_exp = paths.doppler_taps + paths.frac_dopplers
-    n_paths = paths.n_paths
-    r2 = np.arange(m)
-    same = ell[:, None] == ell[None, :]
-    chi = np.zeros((n_paths, n_paths, m))
-    kappa = np.zeros((n_paths, n_paths, m))
-    idx = np.arange(n_paths)
-    chi[idx, idx, :] = 1.0  # unitary self-product
-    # Delay taps differ: the diagonal entry vanishes and the row sum is a
-    # single unit-magnitude phase.
-    kappa[~same] = 1.0
-
-    # The reversed product is the conjugate transpose of the forward one,
-    # so both coefficients are symmetric in (i, j): compute the upper
-    # triangle and mirror.
-    ii, jj = np.nonzero(np.triu(same, k=1))
-    if len(ii):
-        # Same delay tap: the row's block is aligned with the diagonal.
-        # diag = mean of the phase ramp over Doppler blocks, rowsum = the
-        # ramp's first element.
-        grid_idx = np.arange(n)[:, None] * m + r2[None, :]  # (N, M)
-        shifted = (grid_idx[None, :, :] - ell[ii][:, None, None]) % mn
-        a_diff = a_exp[ii] - a_exp[jj]
-        ramp = np.exp((2j * np.pi / mn) * a_diff[:, None, None] * shifted)
-        diag = ramp.sum(axis=1) / n  # (pairs, M)
-        rowsum = ramp[:, 0, :]
-        chi[ii, jj, :] = chi[jj, ii, :] = np.abs(diag) ** 2
-        kappa[ii, jj, :] = kappa[jj, ii, :] = np.abs(rowsum - diag) ** 2
+    delay_taps = np.asarray(delay_taps)
+    doppler = np.asarray(doppler, dtype=float)
+    n = doppler_bins
+    d = doppler[..., :, None] - doppler[..., None, :]
+    # D has period N in d; folding d into [-N/2, N/2] keeps sin(pi d/N)
+    # away from the cancellation at nonzero multiples of N.
+    d = d - n * np.round(d / n)
+    den = n * np.sin(np.pi * d / n)
+    # The folded d makes den vanish only at d = 0, where the ratio is 1.
+    ratio = np.divide(np.sin(np.pi * d), den, out=np.ones_like(d),
+                      where=den != 0.0)
+    dirichlet = np.exp(1j * np.pi * d * (n - 1) / n) * ratio
+    same = delay_taps[..., :, None] == delay_taps[..., None, :]
+    chi = np.where(same, np.abs(dirichlet) ** 2, 0.0)
+    kappa = np.where(same, np.abs(1.0 - dirichlet) ** 2, 1.0)
     return chi, kappa
 
 

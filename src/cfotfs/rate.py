@@ -45,10 +45,8 @@ def power_constraint_load(stats: LinkStats, pc: PowerControl) -> np.ndarray:
 
 @dataclass
 class RateReport:
-    """Per-user result: SINR profile over the delay coordinate of the bin
-    (length M, the SINR at bin r being entry r mod M; length 1 when the
-    distinct-delay fast path applies), spectral efficiency and
-    throughput."""
+    """Per-user result: the SINR (length 1, since it takes the same value
+    at every DD bin), spectral efficiency and throughput."""
 
     user: int
     sinr: np.ndarray
@@ -73,22 +71,20 @@ def _user_terms(q: int, stats: LinkStats, pc: PowerControl,
                 pathsets: list, grid: OtfsGrid):
     """SINR building blocks for user q.
 
-    Returns (ds, bu, isi, iui): the desired-signal mean, and the
-    beamforming-uncertainty and inter-symbol interference profiles over
-    the delay coordinate of the bin (both coefficients are constant in
-    the Doppler coordinate), plus the bin-independent inter-user power.
-    All are normalized by the downlink SNR.
+    Returns (ds, bu, isi, iui): the desired-signal mean, the
+    beamforming-uncertainty and inter-symbol interference powers, and the
+    inter-user power, all normalized by the downlink SNR. None depends on
+    the DD bin. One coefficient call covers every AP of the user.
     """
-    m = grid.delay_bins
+    links = [row[q] for row in pathsets]
+    delay_taps = np.array([ps.delay_taps for ps in links])
+    doppler = np.array([ps.doppler_taps + ps.frac_dopplers for ps in links])
+    chi, kappa = chi_kappa_tables(delay_taps, doppler, grid.doppler_bins)
     eta_q = pc.eta[:, q]
     gamma_q = stats.gamma[:, q, :]
     beta_q = stats.beta[:, q, :]
-    bu = np.zeros(m)
-    isi = np.zeros(m)
-    for p in range(stats.n_aps):
-        chi, kappa = chi_kappa_tables(pathsets[p][q], grid)
-        bu += eta_q[p] * np.einsum("i,ijr,j->r", beta_q[p], chi, gamma_q[p])
-        isi += eta_q[p] * np.einsum("i,ijr,j->r", beta_q[p], kappa, gamma_q[p])
+    bu = float(np.einsum("p,pi,pij,pj->", eta_q, beta_q, chi, gamma_q))
+    isi = float(np.einsum("p,pi,pij,pj->", eta_q, beta_q, kappa, gamma_q))
     ds, iui = _signal_and_interuser(q, stats, pc)
     return ds, bu, isi, iui
 
@@ -99,31 +95,22 @@ def assemble_sinr(ds: float, interference, rho_d: float):
     return rho_d * ds**2 / (rho_d * np.asarray(interference) + 1.0)
 
 
-def sinr_profile(q: int, stats: LinkStats, pc: PowerControl, pathsets: list,
-                 rho_d: float, grid: OtfsGrid) -> np.ndarray:
-    """Closed-form SINR of user q over the delay coordinate (length M);
-    the value at bin r is entry r mod M."""
-    ds, bu, isi, iui = _user_terms(q, stats, pc, pathsets, grid)
-    return assemble_sinr(ds, bu + isi + iui, rho_d)
-
-
-def sinr_bin(q: int, r: int, stats: LinkStats, pc: PowerControl,
-             pathsets: list, rho_d: float, grid: OtfsGrid) -> float:
-    """Closed-form SINR of user q at DD bin r."""
-    if not 0 <= r < grid.size:
-        raise ValueError("bin index outside grid")
-    return float(sinr_profile(q, stats, pc, pathsets, rho_d, grid)[r % grid.delay_bins])
-
-
 def closed_form_terms(q: int, r: int, stats: LinkStats, pc: PowerControl,
                       pathsets: list, grid: OtfsGrid):
     """The four SINR terms of user q at bin r (desired-signal mean,
     beamforming-uncertainty variance, inter-symbol and inter-user
     interference powers), normalized by the downlink SNR. Used by the
     Monte Carlo validator."""
-    ds, bu, isi, iui = _user_terms(q, stats, pc, pathsets, grid)
-    r2 = r % grid.delay_bins
-    return ds, float(bu[r2]), float(isi[r2]), iui
+    if not 0 <= r < grid.size:
+        raise ValueError("bin index outside grid")
+    return _user_terms(q, stats, pc, pathsets, grid)
+
+
+def sinr_bin(q: int, r: int, stats: LinkStats, pc: PowerControl,
+             pathsets: list, rho_d: float, grid: OtfsGrid) -> float:
+    """Closed-form SINR of user q at DD bin r (the same at every bin)."""
+    ds, bu, isi, iui = closed_form_terms(q, r, stats, pc, pathsets, grid)
+    return float(assemble_sinr(ds, bu + isi + iui, rho_d))
 
 
 def throughput(report_or_rate, grid: OtfsGrid) -> float:
@@ -133,15 +120,18 @@ def throughput(report_or_rate, grid: OtfsGrid) -> float:
     return grid.bandwidth_hz * float(rate)
 
 
+def _report(q: int, sinr: float, grid: OtfsGrid) -> RateReport:
+    rate = float(np.log2(1.0 + sinr))
+    return RateReport(user=q, sinr=np.array([sinr]), rate_bps_hz=rate,
+                      throughput_bps=rate * grid.bandwidth_hz)
+
+
 def achievable_rate(q: int, stats: LinkStats, pc: PowerControl,
                     pathsets: list, rho_d: float, grid: OtfsGrid) -> RateReport:
-    """Per-user achievable rate: mean of log2(1 + SINR) over all MN bins."""
-    sinr = sinr_profile(q, stats, pc, pathsets, rho_d, grid)
-    # Every Doppler coordinate repeats the profile, so its mean is the
-    # mean over all MN bins.
-    rate = float(np.mean(np.log2(1.0 + sinr)))
-    return RateReport(user=q, sinr=sinr, rate_bps_hz=rate,
-                      throughput_bps=rate * grid.bandwidth_hz)
+    """Per-user achievable rate log2(1 + SINR); the SINR is the same at
+    every DD bin, so this is also the mean over all MN bins."""
+    ds, bu, isi, iui = _user_terms(q, stats, pc, pathsets, grid)
+    return _report(q, assemble_sinr(ds, bu + isi + iui, rho_d), grid)
 
 
 def rate_distinct_delays(q: int, stats: LinkStats, pc: PowerControl,
@@ -160,7 +150,4 @@ def rate_distinct_delays(q: int, stats: LinkStats, pc: PowerControl,
     ds, iui = _signal_and_interuser(q, stats, pc)
     intra = float(np.sum(pc.eta[:, q] * stats.beta[:, q, :].sum(axis=1)
                          * stats.gamma[:, q, :].sum(axis=1)))
-    sinr = assemble_sinr(ds, intra + iui, rho_d)
-    rate = float(np.log2(1.0 + sinr))
-    return RateReport(user=q, sinr=np.array([sinr]), rate_bps_hz=rate,
-                      throughput_bps=rate * grid.bandwidth_hz)
+    return _report(q, assemble_sinr(ds, intra + iui, rho_d), grid)

@@ -106,6 +106,15 @@ class TestValidateRate:
         closed = [c.sinr_closed for c in report.checks if c.user == 0]
         assert np.ptp(closed) / np.mean(closed) < 1e-9
 
+    def test_generator_seed(self):
+        # Each (user, bin) draws from a substream of one master seed, so a
+        # Generator seed works and repeats.
+        inst = desk_instance(3)
+        a, b = (validate_rate(inst, trials=500, bins=[0, 1], users=[0],
+                              seed=np.random.default_rng(4)) for _ in range(2))
+        assert a.to_json() == b.to_json()
+        assert len(a.checks) == 2
+
     def test_interference_limited_regime(self):
         # Very large downlink power: SINR saturates at the interference
         # ratio and the oracle still matches.

@@ -146,20 +146,26 @@ class TestChiKappa:
             assert chi == pytest.approx(0.0, abs=1e-12)
             assert kap == pytest.approx(1.0, abs=1e-10)
 
+    def assert_tables_match_every_bin(self, ps, grid):
+        """The single (L, L) table entry equals the dense chi_kappa at
+        every bin of the grid."""
+        chi_t, kap_t = chi_kappa_tables(
+            ps.delay_taps, ps.doppler_taps + ps.frac_dopplers,
+            grid.doppler_bins)
+        assert chi_t.shape == kap_t.shape == (ps.n_paths, ps.n_paths)
+        for i in range(ps.n_paths):
+            for j in range(ps.n_paths):
+                for r in range(grid.size):
+                    chi, kap = chi_kappa(ps.path(i), ps.path(j), r, grid)
+                    assert chi == pytest.approx(chi_t[i, j], abs=1e-10)
+                    assert kap == pytest.approx(kap_t[i, j], abs=1e-10)
+
     def test_tables_match_per_bin_values(self):
         grid = OtfsGrid(doppler_bins=4, delay_bins=8)
         rng = np.random.default_rng(2)
         for _ in range(3):
-            ps = sample_paths(1.0, 5, 7, 1, grid, rng)
-            chi_t, kap_t = chi_kappa_tables(ps, grid)
-            for i in range(ps.n_paths):
-                for j in range(ps.n_paths):
-                    for r in (0, 3, 9, 17, 26, 31):
-                        chi, kap = chi_kappa(ps.path(i), ps.path(j), r, grid)
-                        assert chi == pytest.approx(
-                            chi_t[i, j, r % 8], abs=1e-10)
-                        assert kap == pytest.approx(
-                            kap_t[i, j, r % 8], abs=1e-10)
+            self.assert_tables_match_every_bin(
+                sample_paths(1.0, 5, 7, 1, grid, rng), grid)
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(2, 7), m=st.integers(2, 6),
@@ -169,6 +175,12 @@ class TestChiKappa:
            free_delays=st.tuples(st.integers(0, 5), st.integers(0, 5)))
     @example(n=5, m=3, dopplers=[(1, 0.0), (-1, 0.0), (0, 0.25), (2, -0.3)],
              free_delays=(0, 2))
+    # Doppler difference of exactly N on a shared tap: D = 1 again.
+    @example(n=2, m=3, dopplers=[(1, 0.0), (-1, 0.0), (0, 0.25)],
+             free_delays=(0, 0))
+    # Difference a hair below N: the closed form must not cancel.
+    @example(n=3, m=2, dopplers=[(1, 0.0), (-2, 2.8e-9), (0, 0.0)],
+             free_delays=(0, 0))
     def test_tables_match_dense_reference(self, n, m, dopplers, free_delays):
         # Paths 0 and 1 share the wrap-around tap M - 1 with different
         # Doppler; path 2 has a smaller tap (a distinct-delay pair with
@@ -178,14 +190,33 @@ class TestChiKappa:
                   free_delays[1] % m][:len(dopplers)]
         ps = make_pathset(delays, [k for k, _ in dopplers],
                           fracs=[f for _, f in dopplers])
-        grid = OtfsGrid(doppler_bins=n, delay_bins=m)
-        chi_t, kap_t = chi_kappa_tables(ps, grid)
-        for i in range(ps.n_paths):
-            for j in range(ps.n_paths):
-                for r in range(grid.size):
-                    chi, kap = chi_kappa(ps.path(i), ps.path(j), r, grid)
-                    assert chi == pytest.approx(chi_t[i, j, r % m], abs=1e-10)
-                    assert kap == pytest.approx(kap_t[i, j, r % m], abs=1e-10)
+        self.assert_tables_match_every_bin(
+            ps, OtfsGrid(doppler_bins=n, delay_bins=m))
+
+    def test_identical_taps_off_diagonal(self):
+        # Two distinct paths with the same delay and Doppler (d = 0) act
+        # as one operator: (1, 0) like the diagonal, at every bin.
+        grid = OtfsGrid(doppler_bins=5, delay_bins=3)
+        ps = make_pathset([2, 2, 0], [1, 1, -1], fracs=[0.3, 0.3, 0.1])
+        self.assert_tables_match_every_bin(ps, grid)
+        chi_t, kap_t = chi_kappa_tables(
+            ps.delay_taps, ps.doppler_taps + ps.frac_dopplers, 5)
+        assert (chi_t[0, 1], kap_t[0, 1]) == (1.0, 0.0)
+
+    def test_stacked_call_equals_per_link_calls(self):
+        grid = OtfsGrid(doppler_bins=6, delay_bins=4)
+        rng = np.random.default_rng(7)
+        links = [sample_paths(1.0, 4, 3, 2, grid, rng) for _ in range(5)]
+        delays = np.array([ps.delay_taps for ps in links])
+        doppler = np.array([ps.doppler_taps + ps.frac_dopplers
+                            for ps in links])
+        chi_s, kap_s = chi_kappa_tables(delays, doppler, grid.doppler_bins)
+        assert chi_s.shape == kap_s.shape == (5, 4, 4)
+        for p in range(5):
+            chi, kap = chi_kappa_tables(delays[p], doppler[p],
+                                        grid.doppler_bins)
+            np.testing.assert_array_equal(chi_s[p], chi)
+            np.testing.assert_array_equal(kap_s[p], kap)
 
     def test_doppler_coordinate_invariance(self):
         # chi/kappa at bins sharing a delay coordinate agree across the

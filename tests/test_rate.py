@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from cfotfs import experiments, montecarlo
+from dense_reference import per_bin_sinr
+
+from cfotfs import experiments, montecarlo, rate
 from cfotfs.channel import OtfsGrid, PathSet
 from cfotfs.estimation import LinkStats
 from cfotfs.exceptions import DistinctDelayError, PowerControlError
-from cfotfs.rate import (PowerControl, achievable_rate, equal_power_control,
-                         power_constraint_load, rate_distinct_delays,
-                         sinr_bin, sinr_profile, throughput)
+from cfotfs.rate import (PowerControl, achievable_rate, closed_form_terms,
+                         equal_power_control, power_constraint_load,
+                         rate_distinct_delays, sinr_bin, throughput)
+from cfotfs.rng import substream
 
 
 def make_stats(beta, gamma, rho_p=1.0, rho_u=1.0):
@@ -91,20 +94,35 @@ class TestSinr:
         assert np.all(np.diff(values) > 0)
 
     def test_profile_matches_bins(self):
+        # The dense per-bin SINR profile, on instances whose links may
+        # repeat a delay tap under fractional Doppler, equals sinr_bin at
+        # every bin.
+        for seed in range(3):
+            inst = random_instance(seed + 2, n_paths=3)
+            for q in range(inst.stats.n_users):
+                profile = per_bin_sinr(q, inst.stats, inst.pc, inst.pathsets,
+                                       inst.rho_d, inst.grid)
+                for r in range(inst.grid.size):
+                    assert sinr_bin(q, r, inst.stats, inst.pc, inst.pathsets,
+                                    inst.rho_d, inst.grid) == \
+                        pytest.approx(profile[r], rel=1e-12)
+
+    def test_bin_outside_grid_rejected(self):
         inst = random_instance(2)
-        profile = sinr_profile(0, inst.stats, inst.pc, inst.pathsets,
-                               inst.rho_d, inst.grid)
-        for r in range(inst.grid.size):
-            assert sinr_bin(0, r, inst.stats, inst.pc, inst.pathsets,
-                            inst.rho_d, inst.grid) == \
-                profile[r % inst.grid.delay_bins]
+        for r in (-1, inst.grid.size):
+            with pytest.raises(ValueError):
+                sinr_bin(0, r, inst.stats, inst.pc, inst.pathsets,
+                         inst.rho_d, inst.grid)
+            with pytest.raises(ValueError):
+                closed_form_terms(0, r, inst.stats, inst.pc, inst.pathsets,
+                                  inst.grid)
 
     def test_nonnegative(self):
         for seed in range(5):
             inst = random_instance(seed, n_paths=3)
-            profile = sinr_profile(0, inst.stats, inst.pc, inst.pathsets,
-                                   inst.rho_d, inst.grid)
-            assert np.all(profile >= 0.0)
+            report = achievable_rate(0, inst.stats, inst.pc, inst.pathsets,
+                                     inst.rho_d, inst.grid)
+            assert np.all(report.sinr >= 0.0)
 
 
 class TestAchievableRate:
@@ -129,11 +147,32 @@ class TestAchievableRate:
         inst = random_instance(3)
         report = achievable_rate(0, inst.stats, inst.pc, inst.pathsets,
                                  inst.rho_d, inst.grid)
-        assert report.sinr.shape == (inst.grid.delay_bins,)
+        assert report.sinr.shape == (1,)
         assert report.rate_bps_hz == pytest.approx(
-            np.mean(np.log2(1.0 + report.sinr)))
+            np.log2(1.0 + report.sinr[0]))
         assert report.throughput_bps == pytest.approx(
             report.rate_bps_hz * inst.grid.bandwidth_hz)
+
+    def test_one_coefficient_call_per_user(self, monkeypatch):
+        # Every AP of a user shares one batched chi/kappa call, also
+        # inside a full desk realization.
+        calls = []
+        batched = rate.chi_kappa_tables
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return batched(*args, **kwargs)
+
+        monkeypatch.setattr(rate, "chi_kappa_tables", counted)
+        inst = random_instance(5, n_aps=3, n_paths=3)
+        achievable_rate(1, inst.stats, inst.pc, inst.pathsets, inst.rho_d,
+                        inst.grid)
+        assert calls == [(3, 3)]
+        calls.clear()
+        config = experiments.desk_preset(seed=1)
+        experiments.realize_user_rates(config, 8, 4, "uncorr",
+                                       substream(1, 0, 8, 4, 0))
+        assert calls == [(8, config.channel.n_paths)] * 4
 
 
 class TestDistinctDelayFastPath:
@@ -148,9 +187,13 @@ class TestDistinctDelayFastPath:
                                             inst.grid)
                 assert fast.rate_bps_hz == pytest.approx(
                     full.rate_bps_hz, rel=1e-9)
-                # Per-bin SINR collapses to a single value.
-                spread = np.ptp(full.sinr) / full.sinr.mean()
-                assert spread < 1e-9
+                # The dense per-bin SINR is flat and equals both reports.
+                per_bin = per_bin_sinr(q, inst.stats, inst.pc, inst.pathsets,
+                                       inst.rho_d, inst.grid)
+                assert np.ptp(per_bin) / per_bin.mean() < 1e-9
+                for report in (fast, full):
+                    assert np.max(np.abs(per_bin - report.sinr[0])) \
+                        / report.sinr[0] < 1e-9
 
     def test_repeated_delays_rejected(self):
         grid, stats, pc, pathsets = single_link_setup(grid=OtfsGrid(
