@@ -1,21 +1,9 @@
-"""Per-bin closed-form SINR built from dense path operators, independent
-of the batched coefficient tables the rate module uses."""
+"""Per-bin closed-form SINR built from the dense per-bin chi_kappa,
+independent of the batched coefficient tables the rate module uses."""
 
 import numpy as np
 
-from cfotfs.operators import dd_operator
-
-
-def dense_chi_kappa(paths, grid):
-    """(chi, kappa) of every path pair at every bin, shaped (L, L, MN):
-    squared diagonal entry and squared off-diagonal row sum of the dense
-    product T_i T_j^H."""
-    mats = np.stack([dd_operator(paths.path(i), grid)
-                     for i in range(paths.n_paths)])
-    prod = np.einsum("irc,jsc->ijrs", mats, mats.conj())
-    diag = np.einsum("ijrr->ijr", prod)
-    off = prod.sum(axis=3) - diag
-    return np.abs(diag) ** 2, np.abs(off) ** 2
+from cfotfs.operators import chi_kappa
 
 
 def per_bin_sinr(q, stats, pc, pathsets, rho_d, grid):
@@ -26,10 +14,14 @@ def per_bin_sinr(q, stats, pc, pathsets, rho_d, grid):
     bu = np.zeros(grid.size)
     isi = np.zeros(grid.size)
     for p, row in enumerate(pathsets):
-        chi, kappa = dense_chi_kappa(row[q], grid)
+        paths = row[q]
+        n = paths.n_paths
+        coeffs = np.array([[[chi_kappa(paths.path(i), paths.path(j), r, grid)
+                             for r in range(grid.size)]
+                            for j in range(n)] for i in range(n)])
         weight = eta[p, q] * np.outer(beta[p, q], gamma[p, q])
-        bu += np.einsum("ij,ijr->r", weight, chi)
-        isi += np.einsum("ij,ijr->r", weight, kappa)
+        bu += np.einsum("ij,ijr->r", weight, coeffs[..., 0])
+        isi += np.einsum("ij,ijr->r", weight, coeffs[..., 1])
     ds = np.sum(np.sqrt(eta[:, q]) * gamma[:, q].sum(axis=1))
     iui = sum(eta[p, k] * beta[p, q].sum() * gamma[p, k].sum()
               for p in range(stats.n_aps) for k in range(stats.n_users)

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from dense_reference import per_bin_sinr
+
 from cfotfs import experiments
 from cfotfs.channel import OtfsGrid, PathSet
 from cfotfs.estimation import LinkStats
@@ -100,15 +102,20 @@ class TestValidateRate:
         inst = desk_instance(11, distinct_delays=True)
         report = validate_rate(inst, trials=10_000, seed=5)
         assert report.passed
-        # Closed form is exactly flat; the empirical per-bin SINRs must
-        # not be flagged as bin dependent.
+        # The empirical per-bin SINRs must not be flagged as bin
+        # dependent, and the reported closed form equals the SINR built
+        # from the dense per-bin operators at every bin checked.
         assert not any(report.bin_dependence.values())
-        closed = [c.sinr_closed for c in report.checks if c.user == 0]
-        assert np.ptp(closed) / np.mean(closed) < 1e-9
+        per_bin = per_bin_sinr(0, inst.stats, inst.pc, inst.pathsets,
+                               inst.rho_d, inst.grid)
+        for c in report.checks:
+            if c.user == 0:
+                assert abs(c.sinr_closed - per_bin[c.dd_bin]) \
+                    / per_bin[c.dd_bin] < 1e-9
 
     def test_generator_seed(self):
-        # Each (user, bin) draws from a substream of one master seed, so a
-        # Generator seed works and repeats.
+        # A Generator seed draws the integer master seed the (user, bin)
+        # seeds are offset from, so it works and repeats.
         inst = desk_instance(3)
         a, b = (validate_rate(inst, trials=500, bins=[0, 1], users=[0],
                               seed=np.random.default_rng(4)) for _ in range(2))
