@@ -3,7 +3,7 @@ per-user achievable rates under embedded-pilot MMSE channel estimation and
 conjugate beamforming, validated against a matrix-level Monte Carlo oracle."""
 
 from .channel import (DdPath, OtfsGrid, PathSet, max_doppler_index,
-                      sample_all_paths, sample_paths)
+                      sample_all_paths)
 from .estimation import (LinkStats, PilotPlan, compute_link_stats,
                          guard_overhead, mmse_coeff, plan_pilots,
                          sample_estimate)

@@ -1,5 +1,5 @@
 """Delay-Doppler channel sampling: path taps, fractional Doppler and
-complex gains for every AP-user pair."""
+complex gains for every AP-user pair, held as (AP, user, path) arrays."""
 
 from __future__ import annotations
 
@@ -72,10 +72,10 @@ class DdPath:
 
 @dataclass
 class PathSet:
-    """All paths of one AP-user link, stored as parallel arrays."""
+    """Paths of one link (arrays shaped (L,)) or of a batch of links
+    (shaped (..., L), e.g. (AP, user, path)). Indexing and iteration walk
+    the link axes: paths[p, q] is one link, paths[:, q] all of user q's."""
 
-    ap: int
-    user: int
     delay_taps: np.ndarray
     doppler_taps: np.ndarray
     frac_dopplers: np.ndarray
@@ -88,12 +88,12 @@ class PathSet:
         self.frac_dopplers = np.asarray(self.frac_dopplers, dtype=float)
         self.variances = np.asarray(self.variances, dtype=float)
         self.gains = np.asarray(self.gains, dtype=complex)
-        n = len(self.delay_taps)
-        if n < 1:
-            raise ValueError("a path set needs at least one path")
+        shape = self.delay_taps.shape
+        if not shape or shape[-1] < 1:
+            raise ValueError("a path set needs a path axis with at least one path")
         for arr in (self.doppler_taps, self.frac_dopplers, self.variances, self.gains):
-            if len(arr) != n:
-                raise ValueError("path arrays must have equal length")
+            if arr.shape != shape:
+                raise ValueError("path arrays must have equal shapes")
         if np.any(self.variances <= 0):
             raise ValueError("path variances must be positive")
         if np.any(np.abs(self.frac_dopplers) >= 0.5):
@@ -101,19 +101,38 @@ class PathSet:
 
     @property
     def n_paths(self) -> int:
-        return len(self.delay_taps)
+        return self.delay_taps.shape[-1]
 
-    def path(self, i: int) -> DdPath:
+    def __iter__(self):
+        return map(_view, zip(*self._link_arrays()))
+
+    def __getitem__(self, index) -> "PathSet":
+        key = (index if isinstance(index, tuple) else (index,)) + (slice(None),)
+        return _view(arr[key] for arr in self._link_arrays())
+
+    def _link_arrays(self) -> tuple:
+        if self.delay_taps.ndim < 2:
+            raise IndexError("a single link has no link axis; use path(i)")
+        return (self.delay_taps, self.doppler_taps, self.frac_dopplers,
+                self.variances, self.gains)
+
+    def path(self, *index) -> DdPath:
+        """Path at index (link indices, then the path), for dense operators."""
         return DdPath(
-            delay_tap=int(self.delay_taps[i]),
-            doppler_tap=int(self.doppler_taps[i]),
-            frac_doppler=float(self.frac_dopplers[i]),
-            variance=float(self.variances[i]),
-            gain=complex(self.gains[i]),
+            delay_tap=int(self.delay_taps[index]),
+            doppler_tap=int(self.doppler_taps[index]),
+            frac_doppler=float(self.frac_dopplers[index]),
+            variance=float(self.variances[index]),
+            gain=complex(self.gains[index]),
         )
 
-    def has_distinct_delays(self) -> bool:
-        return len(np.unique(self.delay_taps)) == self.n_paths
+
+def _view(arrays) -> PathSet:
+    """PathSet over validated array slices, skipping the validation."""
+    paths = object.__new__(PathSet)
+    (paths.delay_taps, paths.doppler_taps, paths.frac_dopplers,
+     paths.variances, paths.gains) = arrays
+    return paths
 
 
 def max_doppler_index(speed_kmh: float, grid: OtfsGrid) -> int:
@@ -128,23 +147,28 @@ def max_doppler_index(speed_kmh: float, grid: OtfsGrid) -> int:
     return int(math.ceil(nu_max / grid.doppler_resolution_hz))
 
 
-def sample_paths(pair_beta: float, n_paths: int, l_max: int, k_max: int,
-                 grid: OtfsGrid, seed=None, *, fractional: bool = True,
-                 power_profile: str = "uniform", distinct_delays: bool = False,
-                 ap: int = 0, user: int = 0) -> PathSet:
-    """Draw one link's path set.
+def sample_all_paths(beta_pair, n_paths: int, l_max: int, k_max: int,
+                     grid: OtfsGrid, seed=None, *, fractional: bool = True,
+                     power_profile: str = "uniform",
+                     distinct_delays: bool = False) -> PathSet:
+    """Draw the path sets of every link of beta_pair (any shape: (P, Q)
+    for a network, 0-d for one link) as one PathSet shaped
+    beta_pair.shape + (n_paths,).
 
     Delay taps are uniform on {0..l_max} (a random subset without
     repetition when distinct_delays is set), Doppler taps uniform on
     {-k_max..k_max}, and fractional Doppler uniform on (-0.5, 0.5) when
-    enabled. Per-path variances split pair_beta by the power profile:
-    "uniform" gives pair_beta/n_paths each, "replicate" gives pair_beta
-    to every path. Gains are complex normal with those variances.
+    enabled. Per-path variances split each link's beta by the power
+    profile: "uniform" gives beta/n_paths each, "replicate" gives beta to
+    every path. Gains are complex normal with those variances. Links are
+    drawn one after another in row-major order, each taking its delays,
+    Doppler taps, fractions and gains from the stream in that order.
     """
+    beta_pair = np.asarray(beta_pair, dtype=float)
     if n_paths < 1:
         raise ValueError("need at least one path")
-    if pair_beta <= 0:
-        raise ValueError("pair_beta must be positive")
+    if np.any(beta_pair <= 0):
+        raise ValueError("beta_pair must be positive")
     if not 0 <= l_max <= grid.delay_bins - 1:
         raise ValueError("l_max must lie in [0, delay_bins - 1]")
     k_bound = max(grid.doppler_bins // 2 - 1, 0)
@@ -152,50 +176,25 @@ def sample_paths(pair_beta: float, n_paths: int, l_max: int, k_max: int,
         raise ValueError(f"k_max must lie in [0, {k_bound}] for this grid")
     if power_profile not in ("uniform", "replicate"):
         raise ValueError(f"unknown power profile {power_profile!r}")
+    if distinct_delays and n_paths > l_max + 1:
+        raise InfeasibleConfigError(
+            f"cannot draw {n_paths} distinct delay taps from [0, {l_max}]")
 
     rng = as_rng(seed)
-    if distinct_delays:
-        if n_paths > l_max + 1:
-            raise InfeasibleConfigError(
-                f"cannot draw {n_paths} distinct delay taps from [0, {l_max}]")
-        delays = rng.choice(l_max + 1, size=n_paths, replace=False)
-    else:
-        delays = rng.integers(0, l_max + 1, size=n_paths)
-    dopplers = rng.integers(-k_max, k_max + 1, size=n_paths)
-    if fractional:
-        fracs = rng.uniform(-0.5, 0.5, size=n_paths)
-    else:
-        fracs = np.zeros(n_paths)
-    if power_profile == "uniform":
-        variances = np.full(n_paths, pair_beta / n_paths)
-    else:
-        variances = np.full(n_paths, pair_beta)
-    gains = sample_cn(rng, variances)
-    return PathSet(ap=ap, user=user, delay_taps=delays, doppler_taps=dopplers,
+    shape = beta_pair.shape + (n_paths,)
+    share = n_paths if power_profile == "uniform" else 1
+    variances = np.repeat(beta_pair[..., None] / share, n_paths, axis=-1)
+    delays, dopplers = np.empty((2,) + shape, dtype=int)
+    fracs = np.zeros(shape)
+    gains = np.empty(shape, dtype=complex)
+    for link in np.ndindex(*beta_pair.shape):
+        if distinct_delays:
+            delays[link] = rng.choice(l_max + 1, size=n_paths, replace=False)
+        else:
+            delays[link] = rng.integers(0, l_max + 1, size=n_paths)
+        dopplers[link] = rng.integers(-k_max, k_max + 1, size=n_paths)
+        if fractional:
+            fracs[link] = rng.uniform(-0.5, 0.5, size=n_paths)
+        gains[link] = sample_cn(rng, variances[link])
+    return PathSet(delay_taps=delays, doppler_taps=dopplers,
                    frac_dopplers=fracs, variances=variances, gains=gains)
-
-
-def sample_all_paths(beta_pair: np.ndarray, n_paths: int, l_max: int,
-                     k_max: int, grid: OtfsGrid, seed=None,
-                     **kwargs) -> list:
-    """Path sets for every (AP, user) pair of a beta_pair matrix, as a
-    nested list indexed [p][q]."""
-    rng = as_rng(seed)
-    n_aps, n_users = beta_pair.shape
-    return [
-        [
-            sample_paths(float(beta_pair[p, q]), n_paths, l_max, k_max, grid,
-                         rng, ap=p, user=q, **kwargs)
-            for q in range(n_users)
-        ]
-        for p in range(n_aps)
-    ]
-
-
-def stack_variances(pathsets: list) -> np.ndarray:
-    """Per-path variance tensor beta[p, q, i]; requires a uniform path
-    count across links."""
-    counts = {ps.n_paths for row in pathsets for ps in row}
-    if len(counts) != 1:
-        raise ValueError("links have differing path counts; cannot stack")
-    return np.array([[ps.variances for ps in row] for row in pathsets])

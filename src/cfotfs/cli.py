@@ -16,10 +16,9 @@ import time
 from dataclasses import replace
 
 from . import experiments, montecarlo
-from .channel import OtfsGrid, sample_paths
+from .channel import OtfsGrid, sample_all_paths
 from .exceptions import IdentityCheckError
 from .operators import verify_operator_identities
-from .rng import as_rng
 
 
 def _int_list(text: str) -> list:
@@ -108,9 +107,9 @@ def cmd_validate(args) -> int:
 
 def cmd_check_identities(args) -> int:
     grid = OtfsGrid(doppler_bins=args.doppler_bins, delay_bins=args.delay_bins)
-    rng = as_rng(args.seed)
-    paths = sample_paths(1.0, args.paths, grid.delay_bins - 1,
-                         max(grid.doppler_bins // 2 - 1, 0), grid, rng)
+    paths = sample_all_paths(1.0, args.paths, grid.delay_bins - 1,
+                             max(grid.doppler_bins // 2 - 1, 0), grid,
+                             args.seed)
     try:
         report = verify_operator_identities(paths, grid, tol=args.tol)
     except IdentityCheckError as exc:

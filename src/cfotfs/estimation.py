@@ -102,7 +102,9 @@ def mmse_coeff(beta, rho_p: float, rho_u: float, xi):
         raise ValueError("beta must be positive")
     if rho_p <= 0:
         raise ValueError("pilot power must be positive")
-    xi = np.maximum(np.asarray(xi, dtype=float), 0.0)
+    xi = np.asarray(xi, dtype=float)
+    if np.any(xi < 0):
+        raise ValueError("interference constant xi must be non-negative")
     return np.sqrt(rho_p) * beta / (rho_p * beta + rho_u * xi + 1.0)
 
 

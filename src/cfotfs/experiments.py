@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .channel import OtfsGrid, sample_all_paths, stack_variances
+from .channel import OtfsGrid, sample_all_paths
 from .estimation import compute_link_stats, plan_pilots
 from .geometry import NetworkConfig, apply_shadowing, place_network
 from .rate import (achievable_rate, equal_power_control, power_constraint_load,
@@ -169,14 +169,14 @@ def realize_user_rates(config: ExperimentConfig, n_aps: int, n_users: int,
                   shadowing_mode=_MODE_NAMES[mode])
     grid, ch = config.grid, config.channel
     layout = apply_shadowing(place_network(net, rng), net, rng)
-    pathsets = sample_all_paths(
+    paths = sample_all_paths(
         layout.beta_pair, ch.n_paths, ch.l_max, ch.k_max, grid, rng,
         fractional=ch.fractional, power_profile=ch.power_profile,
         distinct_delays=ch.distinct_delays)
     rho_d, rho_u, rho_p = normalized_powers(config.powers, grid)
     plan = plan_pilots(n_users, grid, ch.l_max, ch.k_max, ch.k_hat,
                        pilot_power=rho_p, mode="shared")
-    stats = compute_link_stats(stack_variances(pathsets), plan, rho_u, grid)
+    stats = compute_link_stats(paths.variances, plan, rho_u, grid)
     pc = equal_power_control(stats)
     load = power_constraint_load(stats, pc)
     if np.max(np.abs(load - 1.0)) > 1e-12:
@@ -186,7 +186,7 @@ def realize_user_rates(config: ExperimentConfig, n_aps: int, n_users: int,
     rates = np.empty(n_users)
     tputs = np.empty(n_users)
     for q in range(n_users):
-        report = rate_fn(q, stats, pc, pathsets, rho_d, grid)
+        report = rate_fn(q, stats, pc, paths, rho_d, grid)
         rates[q] = report.rate_bps_hz
         tputs[q] = report.throughput_bps
     return rates, tputs

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rate as rate_mod
-from .channel import OtfsGrid, sample_all_paths, stack_variances
+from .channel import OtfsGrid, PathSet, sample_all_paths
 from .estimation import LinkStats, compute_link_stats, plan_pilots, sample_estimate
 from .geometry import NetworkConfig, apply_shadowing, place_network
 from .operators import dd_operator
@@ -27,7 +27,7 @@ class ValidationInstance:
     """Frozen geometry and statistics for one validation run."""
 
     grid: OtfsGrid
-    pathsets: list
+    pathsets: PathSet
     stats: LinkStats
     pc: rate_mod.PowerControl
     rho_d: float
@@ -53,7 +53,7 @@ def random_instance(grid: OtfsGrid, n_aps: int, n_users: int, n_paths: int,
                                 grid, rng, fractional=fractional,
                                 distinct_delays=distinct_delays)
     plan = plan_pilots(n_users, grid, l_max, k_max, k_hat, pilot_power=rho_p)
-    stats = compute_link_stats(stack_variances(pathsets), plan, rho_u, grid)
+    stats = compute_link_stats(pathsets.variances, plan, rho_u, grid)
     pc = rate_mod.equal_power_control(stats)
     return ValidationInstance(grid=grid, pathsets=pathsets, stats=stats,
                               pc=pc, rho_d=rho_d)
@@ -80,11 +80,6 @@ class TermEstimates:
         return float(abs(self.ds) ** 2 / denom)
 
 
-def _operator_stack(paths, grid: OtfsGrid) -> np.ndarray:
-    return np.stack([dd_operator(paths.path(i), grid)
-                     for i in range(paths.n_paths)])
-
-
 def estimate_terms(instance: ValidationInstance, q: int, r: int, trials: int,
                    seed=None, batches: int = 10) -> TermEstimates:
     """Estimate the four SINR terms of user q at bin r by simulation.
@@ -109,8 +104,11 @@ def estimate_terms(instance: ValidationInstance, q: int, r: int, trials: int,
     if per_batch < 1:
         raise ValueError("trials must be at least the number of batches")
 
-    t_stacks = [[_operator_stack(instance.pathsets[p][qp], grid)
-                 for qp in range(n_users)] for p in range(n_aps)]
+    # Dense operator of every (AP, user, path), shaped (P, Q, L, MN, MN).
+    paths = instance.pathsets
+    t_stacks = np.empty(paths.delay_taps.shape + (mn, mn), dtype=complex)
+    for index in np.ndindex(*paths.delay_taps.shape):
+        t_stacks[index] = dd_operator(paths.path(*index), grid)
     if not isinstance(seed, (int, np.integer)):
         seed = int(as_rng(seed).integers(2**63))
 
@@ -132,9 +130,9 @@ def estimate_terms(instance: ValidationInstance, q: int, r: int, trials: int,
                 hats.append(h_hat)
                 if qp == q:
                     # Bin-r row of the true channel H_pq.
-                    row_h = np.einsum("ti,ic->tc", h, t_stacks[p][q][:, r, :])
+                    row_h = np.einsum("ti,ic->tc", h, t_stacks[p, q, :, r, :])
             for qp in range(n_users):
-                h_hat_full = np.einsum("ti,iab->tab", hats[qp], t_stacks[p][qp])
+                h_hat_full = np.einsum("ti,iab->tab", hats[qp], t_stacks[p, qp])
                 v = np.einsum("tc,tdc->td", row_h, h_hat_full.conj())
                 if qp == q:
                     g_own += np.sqrt(pc.eta[p, q]) * v

@@ -14,8 +14,8 @@ coefficient pair (chi, kappa) that weights beamforming uncertainty and
 inter-symbol interference in the closed-form SINR, and numerical checks
 of the three operator identities the rate analysis relies on. The pair
 does not depend on the bin at all: chi_kappa_tables evaluates it once per
-path pair in closed form, batched over any leading axes (every AP of a
-user at once), and the dense per-bin chi_kappa stays as its reference.
+path pair in closed form over (..., L) PathSet arrays (every AP of a user
+at once), and the dense per-bin chi_kappa stays as its reference.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def dd_operator(path: DdPath, grid: OtfsGrid) -> np.ndarray:
 
 
 def effective_channel(paths: PathSet, grid: OtfsGrid) -> np.ndarray:
-    """Effective DD channel of a link: gain-weighted sum of its path
+    """Effective DD channel of a single link: gain-weighted sum of its path
     operators."""
     mn = grid.size
     h = np.zeros((mn, mn), dtype=complex)

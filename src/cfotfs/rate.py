@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import OtfsGrid
+from .channel import OtfsGrid, PathSet
 from .estimation import LinkStats
 from .exceptions import DistinctDelayError, PowerControlError
 from .operators import chi_kappa_tables
@@ -68,7 +68,7 @@ def _signal_and_interuser(q: int, stats: LinkStats, pc: PowerControl):
 
 
 def _user_terms(q: int, stats: LinkStats, pc: PowerControl,
-                pathsets: list, grid: OtfsGrid):
+                pathsets: PathSet, grid: OtfsGrid):
     """SINR building blocks for user q.
 
     Returns (ds, bu, isi, iui): the desired-signal mean, the
@@ -76,10 +76,9 @@ def _user_terms(q: int, stats: LinkStats, pc: PowerControl,
     inter-user power, all normalized by the downlink SNR. None depends on
     the DD bin. One coefficient call covers every AP of the user.
     """
-    links = [row[q] for row in pathsets]
-    delay_taps = np.array([ps.delay_taps for ps in links])
-    doppler = np.array([ps.doppler_taps + ps.frac_dopplers for ps in links])
-    chi, kappa = chi_kappa_tables(delay_taps, doppler, grid.doppler_bins)
+    links = pathsets[:, q]
+    doppler = links.doppler_taps + links.frac_dopplers
+    chi, kappa = chi_kappa_tables(links.delay_taps, doppler, grid.doppler_bins)
     eta_q = pc.eta[:, q]
     gamma_q = stats.gamma[:, q, :]
     beta_q = stats.beta[:, q, :]
@@ -96,7 +95,7 @@ def assemble_sinr(ds: float, interference, rho_d: float):
 
 
 def closed_form_terms(q: int, r: int, stats: LinkStats, pc: PowerControl,
-                      pathsets: list, grid: OtfsGrid):
+                      pathsets: PathSet, grid: OtfsGrid):
     """The four SINR terms of user q at bin r (desired-signal mean,
     beamforming-uncertainty variance, inter-symbol and inter-user
     interference powers), normalized by the downlink SNR. Used by the
@@ -107,7 +106,7 @@ def closed_form_terms(q: int, r: int, stats: LinkStats, pc: PowerControl,
 
 
 def sinr_bin(q: int, r: int, stats: LinkStats, pc: PowerControl,
-             pathsets: list, rho_d: float, grid: OtfsGrid) -> float:
+             pathsets: PathSet, rho_d: float, grid: OtfsGrid) -> float:
     """Closed-form SINR of user q at DD bin r (the same at every bin)."""
     ds, bu, isi, iui = closed_form_terms(q, r, stats, pc, pathsets, grid)
     return float(assemble_sinr(ds, bu + isi + iui, rho_d))
@@ -127,7 +126,7 @@ def _report(q: int, sinr: float, grid: OtfsGrid) -> RateReport:
 
 
 def achievable_rate(q: int, stats: LinkStats, pc: PowerControl,
-                    pathsets: list, rho_d: float, grid: OtfsGrid) -> RateReport:
+                    pathsets: PathSet, rho_d: float, grid: OtfsGrid) -> RateReport:
     """Per-user achievable rate log2(1 + SINR); the SINR is the same at
     every DD bin, so this is also the mean over all MN bins."""
     ds, bu, isi, iui = _user_terms(q, stats, pc, pathsets, grid)
@@ -135,18 +134,19 @@ def achievable_rate(q: int, stats: LinkStats, pc: PowerControl,
 
 
 def rate_distinct_delays(q: int, stats: LinkStats, pc: PowerControl,
-                         pathsets: list, rho_d: float, grid: OtfsGrid) -> RateReport:
+                         pathsets: PathSet, rho_d: float, grid: OtfsGrid) -> RateReport:
     """Fast path for links whose delay taps are pairwise distinct.
 
     Cross-path products then contribute no diagonal power and exactly unit
     row-sum power, so the SINR loses its bin dependence and needs no
-    coefficient computation. Raises DistinctDelayError when a path set of
-    user q repeats a delay tap.
+    coefficient computation. Raises DistinctDelayError naming the first
+    link of user q that repeats a delay tap.
     """
-    for p in range(stats.n_aps):
-        if not pathsets[p][q].has_distinct_delays():
-            raise DistinctDelayError(
-                f"link (ap={p}, user={q}) repeats a delay tap")
+    taps = np.sort(pathsets[:, q].delay_taps, axis=1)
+    repeats = np.any(taps[:, 1:] == taps[:, :-1], axis=1)
+    if repeats.any():
+        raise DistinctDelayError(
+            f"link (ap={np.argmax(repeats)}, user={q}) repeats a delay tap")
     ds, iui = _signal_and_interuser(q, stats, pc)
     intra = float(np.sum(pc.eta[:, q] * stats.beta[:, q, :].sum(axis=1)
                          * stats.gamma[:, q, :].sum(axis=1)))

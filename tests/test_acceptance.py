@@ -13,8 +13,7 @@ import pytest
 from dense_reference import per_bin_sinr
 
 from cfotfs import experiments, montecarlo
-from cfotfs.channel import (OtfsGrid, max_doppler_index, sample_all_paths,
-                            sample_paths, stack_variances)
+from cfotfs.channel import OtfsGrid, max_doppler_index, sample_all_paths
 from cfotfs.estimation import (compute_link_stats, guard_overhead,
                                mmse_coeff, plan_pilots)
 from cfotfs.geometry import apply_shadowing, place_network
@@ -42,8 +41,8 @@ def desk_validation_instance(seed, **kw):
 def test_criterion_01_operator_identities():
     started = time.monotonic()
     grid = OtfsGrid(doppler_bins=4, delay_bins=8)
-    paths = sample_paths(1.0, 100, grid.delay_bins - 1,
-                         grid.doppler_bins // 2 - 1, grid, seed=2026)
+    paths = sample_all_paths(1.0, 100, grid.delay_bins - 1,
+                             grid.doppler_bins // 2 - 1, grid, seed=2026)
     result = verify_operator_identities(paths, grid, tol=1e-9)
     elapsed = time.monotonic() - started
     worst = max(result.unitarity_dev, result.diag_zero_dev,
@@ -179,7 +178,7 @@ def test_criterion_08_power_constraint():
         plan = plan_pilots(net.num_users, config.grid, config.channel.l_max,
                            config.channel.k_max, config.channel.k_hat,
                            pilot_power=rho_p)
-        stats = compute_link_stats(stack_variances(pathsets), plan, rho_u,
+        stats = compute_link_stats(pathsets.variances, plan, rho_u,
                                    config.grid)
         load = power_constraint_load(stats, equal_power_control(stats))
         worst = max(worst, float(np.max(np.abs(load - 1.0))))

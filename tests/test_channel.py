@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cfotfs.channel import (OtfsGrid, PathSet, max_doppler_index,
-                            sample_all_paths, sample_paths, stack_variances)
+                            sample_all_paths)
 from cfotfs.exceptions import InfeasibleConfigError
 
 PAPER_GRID = OtfsGrid(doppler_bins=20, delay_bins=30, delta_f_hz=15e3,
                       carrier_hz=4e9)
+FIELDS = ("delay_taps", "doppler_taps", "frac_dopplers", "variances",
+          "gains")
 
 
 class TestGrid:
@@ -41,7 +43,7 @@ class TestMaxDopplerIndex:
 
 class TestSamplePaths:
     def test_paper_config_ranges(self):
-        ps = sample_paths(1.0, 5, 2, 3, PAPER_GRID, seed=0)
+        ps = sample_all_paths(1.0, 5, 2, 3, PAPER_GRID, seed=0)
         assert ps.n_paths == 5
         assert np.all((ps.delay_taps >= 0) & (ps.delay_taps <= 2))
         assert np.all((ps.doppler_taps >= -3) & (ps.doppler_taps <= 3))
@@ -49,7 +51,8 @@ class TestSamplePaths:
 
     def test_degenerate_single_path(self):
         grid = OtfsGrid(doppler_bins=2, delay_bins=2)
-        ps = sample_paths(1.0, 1, 0, 0, grid, seed=0, fractional=False)
+        ps = sample_all_paths(1.0, 1, 0, 0, grid, seed=0,
+                              fractional=False)
         assert ps.delay_taps[0] == 0
         assert ps.doppler_taps[0] == 0
         assert ps.frac_dopplers[0] == 0.0
@@ -57,16 +60,17 @@ class TestSamplePaths:
     def test_total_power_converges_to_pair_beta(self):
         pair_beta = 0.7
         rng = np.random.default_rng(2)
-        draws = np.array([sample_paths(pair_beta, 4, 2, 3, PAPER_GRID,
-                                       rng).gains for _ in range(10_000)])
+        draws = sample_all_paths(np.full(10_000, pair_beta), 4, 2, 3,
+                                 PAPER_GRID, rng).gains
         total = np.mean(np.sum(np.abs(draws) ** 2, axis=1))
         assert total == pytest.approx(pair_beta, rel=0.03)
 
     def test_per_path_moments(self):
-        variances = sample_paths(1.0, 2, 2, 1, PAPER_GRID, seed=7).variances
+        variances = sample_all_paths(1.0, 2, 2, 1, PAPER_GRID,
+                                     seed=7).variances
         rng = np.random.default_rng(8)
-        draws = np.array([sample_paths(1.0, 2, 2, 1, PAPER_GRID, rng).gains
-                          for _ in range(10_000)])
+        draws = sample_all_paths(np.ones(10_000), 2, 2, 1, PAPER_GRID,
+                                 rng).gains
         # Per-path variance and real/imag split.
         var = np.mean(np.abs(draws) ** 2, axis=0)
         np.testing.assert_allclose(var, variances, rtol=0.05)
@@ -78,46 +82,48 @@ class TestSamplePaths:
         assert abs(cross) < 3.0 * se
 
     def test_uniform_profile_splits_pair_power(self):
-        ps = sample_paths(0.9, 3, 2, 1, PAPER_GRID, seed=3)
+        ps = sample_all_paths(0.9, 3, 2, 1, PAPER_GRID, seed=3)
         np.testing.assert_allclose(ps.variances, 0.3)
         assert ps.variances.sum() == pytest.approx(0.9)
 
     def test_replicate_profile(self):
-        ps = sample_paths(0.9, 3, 2, 1, PAPER_GRID, seed=3,
-                          power_profile="replicate")
+        ps = sample_all_paths(0.9, 3, 2, 1, PAPER_GRID, seed=3,
+                              power_profile="replicate")
         np.testing.assert_allclose(ps.variances, 0.9)
 
     def test_distinct_delays(self):
-        ps = sample_paths(1.0, 3, 2, 1, PAPER_GRID, seed=4,
-                          distinct_delays=True)
+        ps = sample_all_paths(1.0, 3, 2, 1, PAPER_GRID, seed=4,
+                              distinct_delays=True)
         assert len(np.unique(ps.delay_taps)) == 3
-        assert ps.has_distinct_delays()
 
     def test_distinct_delays_infeasible(self):
         with pytest.raises(InfeasibleConfigError):
-            sample_paths(1.0, 4, 2, 1, PAPER_GRID, seed=4,
-                         distinct_delays=True)
+            sample_all_paths(1.0, 4, 2, 1, PAPER_GRID, seed=4,
+                             distinct_delays=True)
 
     def test_rejects_out_of_grid_taps(self):
         grid = OtfsGrid(doppler_bins=4, delay_bins=4)
         with pytest.raises(ValueError):
-            sample_paths(1.0, 2, 4, 0, grid, seed=0)
+            sample_all_paths(1.0, 2, 4, 0, grid, seed=0)
         with pytest.raises(ValueError):
-            sample_paths(1.0, 2, 2, 2, grid, seed=0)
+            sample_all_paths(1.0, 2, 2, 2, grid, seed=0)
 
     def test_zero_variance_rejected(self):
         with pytest.raises(ValueError):
-            PathSet(ap=0, user=0, delay_taps=[0], doppler_taps=[0],
-                    frac_dopplers=[0.0], variances=[0.0], gains=[0.0])
+            PathSet(delay_taps=[0], doppler_taps=[0], frac_dopplers=[0.0],
+                    variances=[0.0], gains=[0.0])
         with pytest.raises(ValueError):
-            sample_paths(0.0, 2, 2, 1, PAPER_GRID, seed=0)
+            sample_all_paths(0.0, 2, 2, 1, PAPER_GRID, seed=0)
+        with pytest.raises(ValueError):
+            sample_all_paths(np.array([[1.0, 0.0]]), 2, 2, 1, PAPER_GRID,
+                             seed=0)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_paths=st.integers(1, 6),
            l_max=st.integers(0, 7), k_max=st.integers(0, 2))
     def test_ranges_always_respected(self, seed, n_paths, l_max, k_max):
         grid = OtfsGrid(doppler_bins=8, delay_bins=8)
-        ps = sample_paths(1.0, n_paths, l_max, k_max, grid, seed=seed)
+        ps = sample_all_paths(1.0, n_paths, l_max, k_max, grid, seed=seed)
         assert np.all((ps.delay_taps >= 0) & (ps.delay_taps <= l_max))
         assert np.all(np.abs(ps.doppler_taps) <= k_max)
         assert np.all(np.abs(ps.frac_dopplers) < 0.5)
@@ -127,8 +133,110 @@ class TestSamplePaths:
 def test_sample_all_paths_shape_and_stacking():
     beta = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
     sets = sample_all_paths(beta, 2, 2, 1, PAPER_GRID, seed=10)
-    assert len(sets) == 3 and len(sets[0]) == 2
-    assert sets[2][1].ap == 2 and sets[2][1].user == 1
-    stacked = stack_variances(sets)
-    assert stacked.shape == (3, 2, 2)
-    np.testing.assert_allclose(stacked.sum(axis=2), beta)
+    assert sets.n_paths == 2
+    assert len(list(sets)) == 3 and len(list(sets[0])) == 2
+    for name in FIELDS:
+        assert getattr(sets, name).shape == (3, 2, 2)
+    np.testing.assert_allclose(sets.variances.sum(axis=2), beta)
+    np.testing.assert_array_equal(sets[2][1].gains, sets.gains[2, 1])
+
+
+def test_sample_all_paths_draws_links_in_row_major_order():
+    # Pins the draw order. One link takes its delays, Doppler taps,
+    # fractions and gains from the stream in that order ...
+    link = sample_all_paths(0.9, 3, 2, 3, PAPER_GRID,
+                            np.random.default_rng(11))
+    ref = np.random.default_rng(11)
+    np.testing.assert_array_equal(link.delay_taps, ref.integers(0, 3, 3))
+    np.testing.assert_array_equal(link.doppler_taps, ref.integers(-3, 4, 3))
+    np.testing.assert_array_equal(link.frac_dopplers,
+                                  ref.uniform(-0.5, 0.5, 3))
+    re, im = ref.standard_normal(3), ref.standard_normal(3)
+    np.testing.assert_array_equal(link.gains,
+                                  np.sqrt(link.variances / 2) * (re + 1j * im))
+    # ... and a (2, 3) batch equals six single-link draws taken row-major
+    # from one shared Generator, bit for bit.
+    beta = np.array([[0.5, 1.0, 1.5], [2.0, 2.5, 3.0]])
+    for kwargs in ({}, {"distinct_delays": True, "fractional": False},
+                   {"power_profile": "replicate"}):
+        batch = sample_all_paths(beta, 3, 2, 3, PAPER_GRID,
+                                 np.random.default_rng(11), **kwargs)
+        rng = np.random.default_rng(11)
+        for p, q in np.ndindex(2, 3):
+            link = sample_all_paths(beta[p, q], 3, 2, 3, PAPER_GRID, rng,
+                                    **kwargs)
+            assert link.delay_taps.shape == (3,)
+            for name in FIELDS:
+                np.testing.assert_array_equal(getattr(batch[p, q], name),
+                                              getattr(link, name))
+
+
+def make_batch(shape=(3, 2, 4)):
+    rng = np.random.default_rng(0)
+    return dict(delay_taps=rng.integers(0, 3, shape),
+                doppler_taps=rng.integers(-2, 3, shape),
+                frac_dopplers=rng.uniform(-0.4, 0.4, shape),
+                variances=rng.uniform(0.1, 1.0, shape),
+                gains=rng.standard_normal(shape) + 1j)
+
+
+class TestBatchedPathSet:
+    def assert_slice(self, sub, arrays, index):
+        for name in FIELDS:
+            np.testing.assert_array_equal(getattr(sub, name),
+                                          arrays[name][index])
+
+    def test_indexing_equals_array_slices(self):
+        arrays = make_batch()
+        paths = PathSet(**arrays)
+        for p, q in np.ndindex(3, 2):
+            self.assert_slice(paths[p][q], arrays, (p, q))
+            self.assert_slice(paths[p, q], arrays, (p, q))
+            assert paths[p, q].delay_taps.shape == (4,)
+        for q in range(2):
+            self.assert_slice(paths[:, q], arrays, (slice(None), q))
+            assert paths[:, q].delay_taps.shape == (3, 4)
+        self.assert_slice(paths[1], arrays, 1)
+
+    def test_iterates_rows_then_links(self):
+        arrays = make_batch()
+        paths = PathSet(**arrays)
+        taps = np.array([[link.delay_taps for link in row] for row in paths])
+        np.testing.assert_array_equal(taps, arrays["delay_taps"])
+        assert [len(list(row)) for row in paths] == [2, 2, 2]
+
+    def test_single_link_cannot_be_indexed(self):
+        paths = PathSet(**make_batch())
+        link = paths[0, 1]
+        with pytest.raises(IndexError):
+            link[0]
+        with pytest.raises(IndexError):
+            list(link)
+        with pytest.raises(IndexError):
+            paths[0, 1, 0]
+        assert link.path(2) == paths.path(0, 1, 2)
+        assert link.path(2).delay_tap == paths.delay_taps[0, 1, 2]
+
+    def test_mismatched_shapes_rejected(self):
+        arrays = make_batch()
+        arrays["gains"] = arrays["gains"][:, :1]
+        with pytest.raises(ValueError, match="equal shapes"):
+            PathSet(**arrays)
+        with pytest.raises(ValueError):
+            PathSet(**make_batch(shape=(2, 0)))
+        with pytest.raises(ValueError):
+            PathSet(**{name: value[0, 0, 0]
+                       for name, value in make_batch().items()})
+
+    def test_zero_variance_anywhere_rejected(self):
+        arrays = make_batch()
+        arrays["variances"][2, 1, 3] = 0.0
+        with pytest.raises(ValueError, match="variances"):
+            PathSet(**arrays)
+
+    def test_fractional_doppler_bound_anywhere_rejected(self):
+        for bad in (0.5, -0.5, 0.7):
+            arrays = make_batch()
+            arrays["frac_dopplers"][1, 0, 2] = bad
+            with pytest.raises(ValueError, match="fractional Doppler"):
+                PathSet(**arrays)

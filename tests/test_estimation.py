@@ -125,6 +125,19 @@ class TestMmseCoeff:
         assert c < 1e-9
         assert np.sqrt(1e-20) * c < 1e-18
 
+    def test_invalid_inputs_rejected(self):
+        with pytest.raises(ValueError, match="beta"):
+            mmse_coeff(0.0, 1.0, 1.0, 0.1)
+        with pytest.raises(ValueError, match="pilot power"):
+            mmse_coeff(1.0, 0.0, 1.0, 0.1)
+        # A negative interference constant is bad input, not something
+        # to clamp to zero.
+        with pytest.raises(ValueError, match="xi"):
+            mmse_coeff(1.0, 1.0, 1.0, -1e-3)
+        with pytest.raises(ValueError, match="xi"):
+            mmse_coeff(np.ones(3), 1.0, 1.0, np.array([0.1, -0.2, 0.3]))
+        assert mmse_coeff(1.0, 1.0, 1.0, 0.0) == pytest.approx(0.5)
+
     def test_against_lmmse_oracle_sweep(self):
         rng = np.random.default_rng(1)
         for _ in range(1000):

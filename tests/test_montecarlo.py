@@ -36,9 +36,10 @@ class TestEstimateTerms:
         beta = 0.9
         stats = make_stats([[[beta]]], [[[beta]]])
         pc = equal_power_control(stats)
-        ps = PathSet(ap=0, user=0, delay_taps=[1], doppler_taps=[0],
-                     frac_dopplers=[0.3], variances=[beta], gains=[1.0])
-        inst = ValidationInstance(grid=grid, pathsets=[[ps]], stats=stats,
+        ps = PathSet(delay_taps=[[[1]]], doppler_taps=[[[0]]],
+                     frac_dopplers=[[[0.3]]], variances=[[[beta]]],
+                     gains=[[[1.0]]])
+        inst = ValidationInstance(grid=grid, pathsets=ps, stats=stats,
                                   pc=pc, rho_d=1.0)
         est = estimate_terms(inst, q=0, r=0, trials=10_000, seed=0)
         expected = pc.eta[0, 0] * beta**2
@@ -51,7 +52,7 @@ class TestEstimateTerms:
         inst = desk_instance(0)
         solo = ValidationInstance(
             grid=inst.grid,
-            pathsets=[[row[0]] for row in inst.pathsets],
+            pathsets=inst.pathsets[:, :1],
             stats=make_stats(inst.stats.beta[:, :1], inst.stats.gamma[:, :1]),
             pc=PowerControl(eta=inst.pc.eta[:, :1]), rho_d=inst.rho_d)
         est = estimate_terms(solo, q=0, r=1, trials=500, seed=1)
@@ -141,9 +142,9 @@ class TestValidateRate:
         stats = LinkStats(beta=beta, mmse_c=np.zeros_like(beta),
                           gamma=np.zeros_like(beta), xi=np.zeros((1, 1)),
                           rho_p=1.0, rho_u=1.0)
-        ps = PathSet(ap=0, user=0, delay_taps=[0], doppler_taps=[0],
-                     frac_dopplers=[0.0], variances=[0.5], gains=[1.0])
-        inst = ValidationInstance(grid=grid, pathsets=[[ps]], stats=stats,
+        ps = PathSet(delay_taps=[[[0]]], doppler_taps=[[[0]]],
+                     frac_dopplers=[[[0.0]]], variances=beta, gains=[[[1.0]]])
+        inst = ValidationInstance(grid=grid, pathsets=ps, stats=stats,
                                   pc=PowerControl(eta=np.ones((1, 1))),
                                   rho_d=10.0)
         est = estimate_terms(inst, q=0, r=0, trials=200, seed=8)

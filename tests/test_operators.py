@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from cfotfs.channel import DdPath, OtfsGrid, PathSet, sample_paths
+from cfotfs.channel import DdPath, OtfsGrid, PathSet, sample_all_paths
 from cfotfs.exceptions import IdentityCheckError
 from cfotfs.operators import (chi_kappa, chi_kappa_tables, dd_operator,
                               effective_channel, verify_operator_identities)
@@ -17,7 +17,7 @@ def make_pathset(delays, dopplers, fracs=None, gains=None):
     n = len(delays)
     fracs = [0.0] * n if fracs is None else fracs
     gains = [1.0] * n if gains is None else gains
-    return PathSet(ap=0, user=0, delay_taps=delays, doppler_taps=dopplers,
+    return PathSet(delay_taps=delays, doppler_taps=dopplers,
                    frac_dopplers=fracs, variances=[1.0] * n, gains=gains)
 
 
@@ -96,7 +96,7 @@ class TestEffectiveChannel:
     def test_linear_in_gains(self):
         grid = OtfsGrid(doppler_bins=2, delay_bins=4)
         rng = np.random.default_rng(0)
-        ps = sample_paths(1.0, 3, 3, 0, grid, rng)
+        ps = sample_all_paths(1.0, 3, 3, 0, grid, rng)
         g1 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         g2 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         from dataclasses import replace
@@ -113,7 +113,8 @@ class TestEffectiveChannel:
         m, n = 4, 2
         grid = OtfsGrid(doppler_bins=n, delay_bins=m)
         rng = np.random.default_rng(1)
-        ps = sample_paths(1.0, 3, m - 1, 0, grid, rng, fractional=False)
+        ps = sample_all_paths(1.0, 3, m - 1, 0, grid, rng,
+                              fractional=False)
         x = rng.standard_normal(m * n) + 1j * rng.standard_normal(m * n)
         y_matrix = effective_channel(ps, grid) @ x
         y_scalar = np.zeros(m * n, dtype=complex)
@@ -165,7 +166,7 @@ class TestChiKappa:
         rng = np.random.default_rng(2)
         for _ in range(3):
             self.assert_tables_match_every_bin(
-                sample_paths(1.0, 5, 7, 1, grid, rng), grid)
+                sample_all_paths(1.0, 5, 7, 1, grid, rng), grid)
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(2, 7), m=st.integers(2, 6),
@@ -206,10 +207,9 @@ class TestChiKappa:
     def test_stacked_call_equals_per_link_calls(self):
         grid = OtfsGrid(doppler_bins=6, delay_bins=4)
         rng = np.random.default_rng(7)
-        links = [sample_paths(1.0, 4, 3, 2, grid, rng) for _ in range(5)]
-        delays = np.array([ps.delay_taps for ps in links])
-        doppler = np.array([ps.doppler_taps + ps.frac_dopplers
-                            for ps in links])
+        links = sample_all_paths(np.ones(5), 4, 3, 2, grid, rng)
+        delays = links.delay_taps
+        doppler = links.doppler_taps + links.frac_dopplers
         chi_s, kap_s = chi_kappa_tables(delays, doppler, grid.doppler_bins)
         assert chi_s.shape == kap_s.shape == (5, 4, 4)
         for p in range(5):
@@ -299,7 +299,7 @@ class TestAlphaCoeff:
 class TestIdentityChecks:
     def test_random_paths_within_tolerance(self):
         grid = OtfsGrid(doppler_bins=4, delay_bins=8)
-        ps = sample_paths(1.0, 12, 7, 1, grid, seed=3)
+        ps = sample_all_paths(1.0, 12, 7, 1, grid, seed=3)
         report = verify_operator_identities(ps, grid, tol=1e-9)
         assert report.passed
         assert report.unitarity_dev < 1e-9

@@ -21,14 +21,14 @@ def make_stats(beta, gamma, rho_p=1.0, rho_u=1.0):
                      xi=np.zeros(beta.shape[:2]), rho_p=rho_p, rho_u=rho_u)
 
 
-def single_link_setup(beta=2.0, gamma=1.5, delay=0, doppler=0, frac=0.0,
-                      grid=None):
-    grid = grid or OtfsGrid(doppler_bins=2, delay_bins=2)
+def single_link_setup(beta=2.0, gamma=1.5, delay=0, doppler=0, frac=0.0):
+    grid = OtfsGrid(doppler_bins=2, delay_bins=2)
     stats = make_stats([[[beta]]], [[[gamma]]])
     pc = equal_power_control(stats)
-    ps = PathSet(ap=0, user=0, delay_taps=[delay], doppler_taps=[doppler],
-                 frac_dopplers=[frac], variances=[beta], gains=[1.0])
-    return grid, stats, pc, [[ps]]
+    ps = PathSet(delay_taps=[[[delay]]], doppler_taps=[[[doppler]]],
+                 frac_dopplers=[[[frac]]], variances=[[[beta]]],
+                 gains=[[[1.0]]])
+    return grid, stats, pc, ps
 
 
 def random_instance(seed, *, distinct=False, n_paths=2, n_users=2, n_aps=2,
@@ -133,9 +133,11 @@ class TestAchievableRate:
         beta = 0.8
         stats = make_stats([[[beta]], [[beta]]], [[[beta]], [[beta]]])
         pc = equal_power_control(stats)
-        pathsets = [[PathSet(ap=p, user=0, delay_taps=[0], doppler_taps=[0],
-                             frac_dopplers=[0.0], variances=[beta],
-                             gains=[1.0])] for p in range(2)]
+        pathsets = PathSet(delay_taps=np.zeros((2, 1, 1)),
+                           doppler_taps=np.zeros((2, 1, 1)),
+                           frac_dopplers=np.zeros((2, 1, 1)),
+                           variances=np.full((2, 1, 1), beta),
+                           gains=np.ones((2, 1, 1)))
         rho_d = 1.0 / (2.0 * beta)
         report = achievable_rate(0, stats, pc, pathsets, rho_d, grid)
         assert report.rate_bps_hz == pytest.approx(1.0, rel=1e-12)
@@ -196,15 +198,21 @@ class TestDistinctDelayFastPath:
                         / report.sinr[0] < 1e-9
 
     def test_repeated_delays_rejected(self):
-        grid, stats, pc, pathsets = single_link_setup(grid=OtfsGrid(
-            doppler_bins=2, delay_bins=4))
-        bad = PathSet(ap=0, user=0, delay_taps=[1, 1], doppler_taps=[0, 0],
-                      frac_dopplers=[0.1, -0.2], variances=[1.0, 1.0],
-                      gains=[1.0, 1.0])
-        stats2 = make_stats([[[1.0, 1.0]]], [[[0.5, 0.5]]])
-        with pytest.raises(DistinctDelayError):
-            rate_distinct_delays(0, stats2, equal_power_control(stats2),
-                                 [[bad]], 1.0, grid)
+        # Three APs, two users: only AP 1 repeats a tap, on user 1's link,
+        # and the error names that link. User 0 has distinct taps.
+        grid = OtfsGrid(doppler_bins=2, delay_bins=4)
+        delays = np.array([[[0, 1], [2, 3]],
+                           [[1, 3], [1, 1]],
+                           [[0, 2], [3, 0]]])
+        shape = delays.shape
+        bad = PathSet(delay_taps=delays, doppler_taps=np.zeros(shape),
+                      frac_dopplers=np.full(shape, 0.1),
+                      variances=np.ones(shape), gains=np.ones(shape))
+        stats = make_stats(np.ones(shape), np.full(shape, 0.5))
+        pc = equal_power_control(stats)
+        rate_distinct_delays(0, stats, pc, bad, 1.0, grid)
+        with pytest.raises(DistinctDelayError, match=r"ap=1, user=1\)"):
+            rate_distinct_delays(1, stats, pc, bad, 1.0, grid)
 
     def test_single_user_has_no_interuser_term(self):
         # With one user the denominator only carries the intra-link part.
@@ -213,11 +221,11 @@ class TestDistinctDelayFastPath:
         gamma = 0.6 * beta
         stats = make_stats(beta, gamma)
         pc = equal_power_control(stats)
-        ps = PathSet(ap=0, user=0, delay_taps=[0, 2], doppler_taps=[0, 0],
-                     frac_dopplers=[0.0, 0.0], variances=beta[0, 0],
-                     gains=[1.0, 1.0])
+        ps = PathSet(delay_taps=[[[0, 2]]], doppler_taps=[[[0, 0]]],
+                     frac_dopplers=[[[0.0, 0.0]]], variances=beta,
+                     gains=[[[1.0, 1.0]]])
         rho_d = 2.0
-        report = rate_distinct_delays(0, stats, pc, [[ps]], rho_d, grid)
+        report = rate_distinct_delays(0, stats, pc, ps, rho_d, grid)
         eta = pc.eta[0, 0]
         ds = np.sqrt(eta) * gamma.sum()
         den = rho_d * eta * beta.sum() * gamma.sum() + 1.0
