@@ -4,19 +4,17 @@ conjugate beamforming, validated against a matrix-level Monte Carlo oracle."""
 
 from .channel import (DdPath, OtfsGrid, PathSet, max_doppler_index,
                       sample_all_paths)
-from .estimation import (LinkStats, PilotPlan, compute_link_stats,
-                         guard_overhead, mmse_coeff, plan_pilots,
-                         sample_estimate)
+from .estimation import (LinkStats, compute_link_stats, guard_overhead,
+                         mmse_coeff, sample_estimate)
 from .exceptions import (DistinctDelayError, EstimateStatisticsError,
                          GuardWidthError, IdentityCheckError,
-                         InfeasibleConfigError, PilotOverheadError,
-                         PowerControlError)
+                         InfeasibleConfigError, PowerControlError)
 from .geometry import (Layout, NetworkConfig, apply_shadowing, path_loss_db,
                        place_network, wrapped_distance)
 from .operators import (chi_kappa, chi_kappa_tables, dd_operator,
-                        effective_channel, verify_operator_identities)
+                        verify_operator_identities)
 from .rate import (PowerControl, RateReport, achievable_rate,
                    equal_power_control, power_constraint_load,
-                   rate_distinct_delays, sinr_bin, throughput)
+                   rate_distinct_delays)
 
 __version__ = "0.1.0"

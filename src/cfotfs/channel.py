@@ -52,22 +52,18 @@ class OtfsGrid:
 
 @dataclass(frozen=True)
 class DdPath:
-    """One propagation path: integer delay/Doppler taps, fractional Doppler
-    kappa in (-0.5, 0.5), gain variance and the sampled complex gain."""
+    """One propagation path's taps: integer delay and Doppler taps and
+    fractional Doppler kappa in (-0.5, 0.5)."""
 
     delay_tap: int
     doppler_tap: int
     frac_doppler: float
-    variance: float
-    gain: complex
 
     def __post_init__(self):
         if self.delay_tap < 0:
             raise ValueError("delay tap must be non-negative")
         if not abs(self.frac_doppler) < 0.5:
             raise ValueError("fractional Doppler must lie strictly in (-0.5, 0.5)")
-        if self.variance <= 0:
-            raise ValueError("path variance must be positive")
 
 
 @dataclass
@@ -122,8 +118,6 @@ class PathSet:
             delay_tap=int(self.delay_taps[index]),
             doppler_tap=int(self.doppler_taps[index]),
             frac_doppler=float(self.frac_dopplers[index]),
-            variance=float(self.variances[index]),
-            gain=complex(self.gains[index]),
         )
 
 

@@ -4,7 +4,8 @@ Subcommands: run-cdf (throughput CDF samples), run-vs-aps (mean throughput
 versus AP count), validate (closed form vs Monte Carlo oracle),
 check-identities (operator identity deviations) and noise (noise budget).
 Experiment outputs are CSV files with a JSON run manifest next to them;
-validation failures and identity violations exit nonzero.
+validation failures and identity violations exit 1, and bad values or
+unreadable files print one error line and exit 2.
 """
 
 from __future__ import annotations
@@ -186,7 +187,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        # Bad values and unreadable files exit with argparse's usage code.
+        print(f"cfotfs: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

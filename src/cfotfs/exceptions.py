@@ -6,11 +6,6 @@ class InfeasibleConfigError(ValueError):
     delay taps than delay bins)."""
 
 
-class PilotOverheadError(InfeasibleConfigError):
-    """Pilot plus guard bins do not fit in the frame under strict
-    non-overlapping placement."""
-
-
 class GuardWidthError(InfeasibleConfigError):
     """Doppler guard region spans the whole Doppler axis, leaving no room
     for data symbols."""

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .channel import OtfsGrid, sample_all_paths
-from .estimation import compute_link_stats, plan_pilots
+from .estimation import compute_link_stats
 from .geometry import NetworkConfig, apply_shadowing, place_network
 from .rate import (achievable_rate, equal_power_control, power_constraint_load,
                    rate_distinct_delays)
@@ -174,9 +174,8 @@ def realize_user_rates(config: ExperimentConfig, n_aps: int, n_users: int,
         fractional=ch.fractional, power_profile=ch.power_profile,
         distinct_delays=ch.distinct_delays)
     rho_d, rho_u, rho_p = normalized_powers(config.powers, grid)
-    plan = plan_pilots(n_users, grid, ch.l_max, ch.k_max, ch.k_hat,
-                       pilot_power=rho_p, mode="shared")
-    stats = compute_link_stats(paths.variances, plan, rho_u, grid)
+    stats = compute_link_stats(paths.variances, ch.k_max, ch.k_hat, rho_p,
+                               rho_u, grid)
     pc = equal_power_control(stats)
     load = power_constraint_load(stats, pc)
     if np.max(np.abs(load - 1.0)) > 1e-12:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import rate as rate_mod
 from .channel import OtfsGrid, PathSet, sample_all_paths
-from .estimation import LinkStats, compute_link_stats, plan_pilots, sample_estimate
+from .estimation import LinkStats, compute_link_stats, sample_estimate
 from .geometry import NetworkConfig, apply_shadowing, place_network
 from .operators import dd_operator
 from .rng import as_rng, substream
@@ -41,7 +41,7 @@ def random_instance(grid: OtfsGrid, n_aps: int, n_users: int, n_paths: int,
     """Random geometry, paths and estimation statistics for validation.
 
     Runs the same pipeline as the experiment driver (placement, shadowing,
-    path sampling, pilot plan, MMSE statistics, equal power control) on a
+    path sampling, MMSE statistics, equal power control) on a
     grid small enough for dense channel matrices.
     """
     rng = as_rng(seed)
@@ -52,8 +52,8 @@ def random_instance(grid: OtfsGrid, n_aps: int, n_users: int, n_paths: int,
     pathsets = sample_all_paths(layout.beta_pair, n_paths, l_max, k_max,
                                 grid, rng, fractional=fractional,
                                 distinct_delays=distinct_delays)
-    plan = plan_pilots(n_users, grid, l_max, k_max, k_hat, pilot_power=rho_p)
-    stats = compute_link_stats(pathsets.variances, plan, rho_u, grid)
+    stats = compute_link_stats(pathsets.variances, k_max, k_hat, rho_p, rho_u,
+                               grid)
     pc = rate_mod.equal_power_control(stats)
     return ValidationInstance(grid=grid, pathsets=pathsets, stats=stats,
                               pc=pc, rho_d=rho_d)
@@ -171,10 +171,6 @@ class BinCheck:
     terms_empirical: dict
     term_std_errors: dict
     terms_within_3se: dict
-
-    @property
-    def terms_pass(self) -> bool:
-        return all(self.terms_within_3se.values())
 
 
 @dataclass

@@ -53,16 +53,6 @@ def dd_operator(path: DdPath, grid: OtfsGrid) -> np.ndarray:
     return f_kron @ core @ f_kron.conj().T
 
 
-def effective_channel(paths: PathSet, grid: OtfsGrid) -> np.ndarray:
-    """Effective DD channel of a single link: gain-weighted sum of its path
-    operators."""
-    mn = grid.size
-    h = np.zeros((mn, mn), dtype=complex)
-    for i in range(paths.n_paths):
-        h += paths.gains[i] * dd_operator(paths.path(i), grid)
-    return h
-
-
 def _same_taps(path_i: DdPath, path_j: DdPath) -> bool:
     return (path_i.delay_tap == path_j.delay_tap
             and path_i.doppler_tap == path_j.doppler_tap

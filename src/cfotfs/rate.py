@@ -45,11 +45,12 @@ def power_constraint_load(stats: LinkStats, pc: PowerControl) -> np.ndarray:
 
 @dataclass
 class RateReport:
-    """Per-user result: the SINR (length 1, since it takes the same value
-    at every DD bin), spectral efficiency and throughput."""
+    """Per-user result: the SINR (the same at every DD bin), spectral
+    efficiency and throughput, the total bandwidth M*delta_f times the
+    spectral efficiency with no overhead discount."""
 
     user: int
-    sinr: np.ndarray
+    sinr: float
     rate_bps_hz: float
     throughput_bps: float
 
@@ -105,23 +106,9 @@ def closed_form_terms(q: int, r: int, stats: LinkStats, pc: PowerControl,
     return _user_terms(q, stats, pc, pathsets, grid)
 
 
-def sinr_bin(q: int, r: int, stats: LinkStats, pc: PowerControl,
-             pathsets: PathSet, rho_d: float, grid: OtfsGrid) -> float:
-    """Closed-form SINR of user q at DD bin r (the same at every bin)."""
-    ds, bu, isi, iui = closed_form_terms(q, r, stats, pc, pathsets, grid)
-    return float(assemble_sinr(ds, bu + isi + iui, rho_d))
-
-
-def throughput(report_or_rate, grid: OtfsGrid) -> float:
-    """Throughput in bit/s: total bandwidth M*delta_f times spectral
-    efficiency. No overhead discount is applied."""
-    rate = getattr(report_or_rate, "rate_bps_hz", report_or_rate)
-    return grid.bandwidth_hz * float(rate)
-
-
 def _report(q: int, sinr: float, grid: OtfsGrid) -> RateReport:
     rate = float(np.log2(1.0 + sinr))
-    return RateReport(user=q, sinr=np.array([sinr]), rate_bps_hz=rate,
+    return RateReport(user=q, sinr=float(sinr), rate_bps_hz=rate,
                       throughput_bps=rate * grid.bandwidth_hz)
 
 

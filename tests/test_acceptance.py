@@ -14,13 +14,12 @@ from dense_reference import per_bin_sinr
 
 from cfotfs import experiments, montecarlo
 from cfotfs.channel import OtfsGrid, max_doppler_index, sample_all_paths
-from cfotfs.estimation import (compute_link_stats, guard_overhead,
-                               mmse_coeff, plan_pilots)
+from cfotfs.estimation import compute_link_stats, guard_overhead, mmse_coeff
 from cfotfs.geometry import apply_shadowing, place_network
 from cfotfs.operators import verify_operator_identities
 from cfotfs.rate import (achievable_rate, closed_form_terms,
                          equal_power_control, power_constraint_load,
-                         rate_distinct_delays, sinr_bin)
+                         rate_distinct_delays)
 
 
 def report(criterion: int, ok: bool, detail: str):
@@ -76,8 +75,8 @@ def test_criterion_02_closed_form_vs_oracle():
             if errors[key] > 0:
                 worst_z = max(worst_z,
                               abs(empirical[key] - closed[key]) / errors[key])
-        sinr_cf = sinr_bin(q, r, inst.stats, inst.pc, inst.pathsets, rho_d,
-                           inst.grid)
+        sinr_cf = achievable_rate(q, inst.stats, inst.pc, inst.pathsets,
+                                  rho_d, inst.grid).sinr
         worst_rel = max(worst_rel,
                         abs(est.empirical_sinr(rho_d) - sinr_cf) / sinr_cf)
     elapsed = time.monotonic() - started
@@ -109,8 +108,8 @@ def test_criterion_03_distinct_delay_consistency():
             for rate_report in (fast, full):
                 worst_sinr_rel = max(
                     worst_sinr_rel,
-                    float(np.max(np.abs(per_bin - rate_report.sinr[0])))
-                    / rate_report.sinr[0])
+                    float(np.max(np.abs(per_bin - rate_report.sinr)))
+                    / rate_report.sinr)
     report(3, max(worst_rate_rel, worst_bin_spread, worst_sinr_rel) <= 1e-9,
            "distinct-delay fast path vs closed form: rate rel. diff "
            f"{worst_rate_rel:.2e}; dense per-bin SINR spread "
@@ -175,10 +174,8 @@ def test_criterion_08_power_constraint():
                                     config.channel.k_max, config.grid, rng)
         _, rho_u, rho_p = experiments.normalized_powers(config.powers,
                                                         config.grid)
-        plan = plan_pilots(net.num_users, config.grid, config.channel.l_max,
-                           config.channel.k_max, config.channel.k_hat,
-                           pilot_power=rho_p)
-        stats = compute_link_stats(pathsets.variances, plan, rho_u,
+        stats = compute_link_stats(pathsets.variances, config.channel.k_max,
+                                   config.channel.k_hat, rho_p, rho_u,
                                    config.grid)
         load = power_constraint_load(stats, equal_power_control(stats))
         worst = max(worst, float(np.max(np.abs(load - 1.0))))

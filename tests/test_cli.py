@@ -67,24 +67,46 @@ def test_config_file_round_trip(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_unknown_config_key_rejected(tmp_path):
+def test_unknown_config_key_rejected(tmp_path, capsys):
     data = experiments.config_to_dict(experiments.desk_preset())
     data["worker"] = 2
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(data))
-    with pytest.raises(ValueError, match="experiment config key.*worker"):
-        cli.main(["run-cdf", "--config", str(cfg_path),
-                  "--out", str(tmp_path / "cdf.csv")])
+    rc = cli.main(["run-cdf", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "cdf.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cfotfs: error: unknown experiment config key")
+    assert "worker" in err and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("flags, field", [(["--seed", "-1"], "seed"),
                                           (["--workers", "0"], "workers")])
-def test_bad_override_rejected_before_running(tmp_path, flags, field):
+def test_bad_override_rejected_before_running(tmp_path, capsys, flags, field):
     out = tmp_path / "cdf.csv"
-    with pytest.raises(ValueError, match=field):
-        cli.main(["run-cdf", "--realizations", "1", "--out", str(out)]
-                 + flags)
+    rc = cli.main(["run-cdf", "--realizations", "1", "--out", str(out)]
+                  + flags)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cfotfs: error: ") and field in err
+    assert len(err.splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run-cdf", "--config", "no-such-config.json"], "no-such-config.json"),
+    (["run-cdf", "--realizations", "0"], "realization"),
+    (["validate", "--trials", "5", "--instances", "1"], "trials"),
+])
+def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys,
+                                         argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("cfotfs: error: ")
+    assert message in captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_validate_command(tmp_path, capsys):

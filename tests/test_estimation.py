@@ -4,9 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from cfotfs.channel import OtfsGrid
 from cfotfs.estimation import (compute_link_stats, guard_overhead, mmse_coeff,
-                               plan_pilots, sample_estimate)
-from cfotfs.exceptions import (EstimateStatisticsError, GuardWidthError,
-                               PilotOverheadError)
+                               sample_estimate)
+from cfotfs.exceptions import EstimateStatisticsError, GuardWidthError
 
 PAPER_GRID = OtfsGrid(doppler_bins=20, delay_bins=30)
 
@@ -27,38 +26,14 @@ class TestGuardOverhead:
         assert guard_overhead(0, 0, 0) == 1
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            guard_overhead(-1, 0, 0)
-
-
-class TestPlanPilots:
-    def test_paper_scale_infeasible_strict_feasible_shared(self):
-        # 20 users * 85 bins = 1700 > 600 frame bins.
-        with pytest.raises(PilotOverheadError):
-            plan_pilots(20, PAPER_GRID, 2, 3, 1, mode="strict")
-        plan = plan_pilots(20, PAPER_GRID, 2, 3, 1, mode="shared")
-        assert plan.n_guard == 85
-        assert plan.locations.shape == (20, 2)
-
-    def test_strict_guard_regions_disjoint(self):
-        grid = OtfsGrid(doppler_bins=12, delay_bins=16)
-        plan = plan_pilots(4, grid, l_max=1, k_max=1, k_hat=0, mode="strict")
-        occupied = np.zeros((grid.doppler_bins, grid.delay_bins), dtype=int)
-        for k_q, l_q in plan.locations:
-            for dk in range(-2 * plan.k_max - 2 * plan.k_hat,
-                            2 * plan.k_max + 2 * plan.k_hat + 1):
-                for dl in range(-plan.l_max, plan.l_max + 1):
-                    occupied[(k_q + dk) % grid.doppler_bins,
-                             (l_q + dl) % grid.delay_bins] += 1
-        assert occupied.max() == 1
-
-    def test_lattice_packing_infeasible(self):
-        # 3 * 15 guard bins fit the 55-bin frame, but only two disjoint
-        # guard slots can be packed, so strict placement must refuse.
-        grid = OtfsGrid(doppler_bins=11, delay_bins=5)
-        with pytest.raises(PilotOverheadError):
-            plan_pilots(3, grid, l_max=1, k_max=1, k_hat=0, mode="strict")
-        plan_pilots(2, grid, l_max=1, k_max=1, k_hat=0, mode="strict")
+        for widths in ((-1, 0, 0), (0, -1, 0), (0, 0, -1)):
+            with pytest.raises(ValueError, match="guard widths"):
+                guard_overhead(*widths)
+        # The link statistics share the Doppler guard span and its check.
+        for k_max, k_hat in ((-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match="guard widths"):
+                compute_link_stats(np.ones((1, 1, 1)), k_max, k_hat, 1.0,
+                                   1.0, PAPER_GRID)
 
 
 class TestInterferencePowers:
@@ -68,8 +43,7 @@ class TestInterferencePowers:
 
     def test_single_user_no_cross_interference(self):
         beta = np.array([[[0.4, 0.6]]])
-        plan = plan_pilots(1, PAPER_GRID, 2, 3, 1)
-        stats = compute_link_stats(beta, plan, 1.0, PAPER_GRID)
+        stats = compute_link_stats(beta, 3, 1, 1.0, 1.0, PAPER_GRID)
         # Only the own leakage remains: (N - g) / N^2 * P_q.
         assert stats.xi[0, 0] == pytest.approx((20 - 17) / 20**2 * 1.0,
                                                rel=1e-12)
@@ -78,22 +52,19 @@ class TestInterferencePowers:
         # Without uplink data nothing interferes with the pilot: the MMSE
         # coefficient is the interference-free one.
         beta = np.array([[[0.4, 0.6], [1.0, 2.0]]])
-        plan = plan_pilots(2, PAPER_GRID, 2, 3, 1, pilot_power=3.0)
-        stats = compute_link_stats(beta, plan, 0.0, PAPER_GRID)
+        stats = compute_link_stats(beta, 3, 1, 3.0, 0.0, PAPER_GRID)
         np.testing.assert_allclose(
             stats.mmse_c, np.sqrt(3.0) * beta / (3.0 * beta + 1.0), rtol=1e-15)
 
     def test_paper_arithmetic(self):
         # (20 - 17)/400 * 2 = 0.015 for the own-user leakage.
         beta = np.array([[[1.2, 0.8]]])
-        plan = plan_pilots(1, PAPER_GRID, 2, 3, 1)
-        stats = compute_link_stats(beta, plan, 1.0, PAPER_GRID)
+        stats = compute_link_stats(beta, 3, 1, 1.0, 1.0, PAPER_GRID)
         assert stats.xi[0, 0] == pytest.approx(0.015)
 
     def test_guard_exceeds_frame(self):
-        plan = plan_pilots(1, PAPER_GRID, 2, 3, 1)
         with pytest.raises(GuardWidthError):
-            compute_link_stats(np.ones((1, 1, 1)), plan, 1.0,
+            compute_link_stats(np.ones((1, 1, 1)), 3, 1, 1.0, 1.0,
                                OtfsGrid(doppler_bins=16, delay_bins=30))
 
     def test_consistency_with_interference_constant(self):
@@ -101,10 +72,9 @@ class TestInterferencePowers:
         # rho_u, so it does not depend on the uplink power.
         rng = np.random.default_rng(0)
         beta = rng.uniform(0.1, 2.0, size=(1, 4, 3))
-        plan = plan_pilots(4, PAPER_GRID, 2, 3, 1)
         link_power = beta[0].sum(axis=1)
         for rho_u in (1.7, 40.0):
-            stats = compute_link_stats(beta, plan, rho_u, PAPER_GRID)
+            stats = compute_link_stats(beta, 3, 1, 1.0, rho_u, PAPER_GRID)
             for q in range(4):
                 i1 = rho_u * (20 - 17) / 20**2 * link_power[q]
                 i2 = rho_u * (link_power.sum() - link_power[q]) / 20
@@ -136,6 +106,11 @@ class TestMmseCoeff:
             mmse_coeff(1.0, 1.0, 1.0, -1e-3)
         with pytest.raises(ValueError, match="xi"):
             mmse_coeff(np.ones(3), 1.0, 1.0, np.array([0.1, -0.2, 0.3]))
+        # A negative uplink power would shrink, or with xi = 2 zero, the
+        # observation power.
+        for xi in (1.0, 2.0):
+            with pytest.raises(ValueError, match="rho_u"):
+                mmse_coeff(1.0, 1.0, -1.0, xi)
         assert mmse_coeff(1.0, 1.0, 1.0, 0.0) == pytest.approx(0.5)
 
     def test_against_lmmse_oracle_sweep(self):
@@ -201,8 +176,8 @@ class TestComputeLinkStats:
     def test_shapes_and_invariants(self):
         rng = np.random.default_rng(2)
         beta = rng.uniform(1e-12, 1e-8, size=(3, 4, 5))
-        plan = plan_pilots(4, PAPER_GRID, 2, 3, 1, pilot_power=1e10)
-        stats = compute_link_stats(beta, plan, rho_u=1e9, grid=PAPER_GRID)
+        stats = compute_link_stats(beta, 3, 1, rho_p=1e10, rho_u=1e9,
+                                   grid=PAPER_GRID)
         assert stats.gamma.shape == (3, 4, 5)
         assert np.all(stats.gamma >= 0)
         assert np.all(stats.gamma <= stats.beta)
@@ -216,9 +191,8 @@ class TestComputeLinkStats:
     def test_matches_scalar_path(self):
         rng = np.random.default_rng(3)
         beta = rng.uniform(1e-12, 1e-8, size=(2, 3, 4))
-        plan = plan_pilots(3, PAPER_GRID, 2, 3, 1, pilot_power=2e10)
         rho_u = 5e8
-        stats = compute_link_stats(beta, plan, rho_u, PAPER_GRID)
+        stats = compute_link_stats(beta, 3, 1, 2e10, rho_u, PAPER_GRID)
         n, guard_span = 20, 17
         link_power = beta.sum(axis=2)
         for p in range(2):
@@ -234,7 +208,6 @@ class TestComputeLinkStats:
 
     def test_guard_error_propagates(self):
         beta = np.ones((1, 1, 1))
-        plan = plan_pilots(1, PAPER_GRID, 2, 3, 1)
         small = OtfsGrid(doppler_bins=17, delay_bins=30)
         with pytest.raises(GuardWidthError):
-            compute_link_stats(beta, plan, 1.0, small)
+            compute_link_stats(beta, 3, 1, 1.0, 1.0, small)

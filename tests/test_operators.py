@@ -5,20 +5,18 @@ from hypothesis import assume, example, given, settings, strategies as st
 from cfotfs.channel import DdPath, OtfsGrid, PathSet, sample_all_paths
 from cfotfs.exceptions import IdentityCheckError
 from cfotfs.operators import (chi_kappa, chi_kappa_tables, dd_operator,
-                              effective_channel, verify_operator_identities)
+                              verify_operator_identities)
 
 
-def make_path(delay, doppler, frac=0.0, variance=1.0, gain=1.0):
-    return DdPath(delay_tap=delay, doppler_tap=doppler, frac_doppler=frac,
-                  variance=variance, gain=gain)
+def make_path(delay, doppler, frac=0.0):
+    return DdPath(delay_tap=delay, doppler_tap=doppler, frac_doppler=frac)
 
 
-def make_pathset(delays, dopplers, fracs=None, gains=None):
+def make_pathset(delays, dopplers, fracs=None):
     n = len(delays)
     fracs = [0.0] * n if fracs is None else fracs
-    gains = [1.0] * n if gains is None else gains
     return PathSet(delay_taps=delays, doppler_taps=dopplers,
-                   frac_dopplers=fracs, variances=[1.0] * n, gains=gains)
+                   frac_dopplers=fracs, variances=[1.0] * n, gains=[1.0] * n)
 
 
 def brute_force_operator(delay, doppler_exp, m, n):
@@ -81,29 +79,19 @@ class TestDdOperator:
         np.testing.assert_allclose(full, shift @ dopp, atol=1e-12)
 
 
+def link_channel(paths, grid):
+    """Dense DD channel of one link: the gain-weighted sum of its path
+    operators."""
+    return sum(paths.gains[i] * dd_operator(paths.path(i), grid)
+               for i in range(paths.n_paths))
+
+
 class TestEffectiveChannel:
     def test_single_unit_path_identity(self):
         grid = OtfsGrid(doppler_bins=2, delay_bins=2)
         ps = make_pathset([0], [0])
-        np.testing.assert_allclose(effective_channel(ps, grid), np.eye(4),
+        np.testing.assert_allclose(link_channel(ps, grid), np.eye(4),
                                    atol=1e-12)
-
-    def test_zero_gains_zero_matrix(self):
-        grid = OtfsGrid(doppler_bins=2, delay_bins=2)
-        ps = make_pathset([1, 0], [0, 0], gains=[0.0, 0.0])
-        np.testing.assert_allclose(effective_channel(ps, grid), 0.0)
-
-    def test_linear_in_gains(self):
-        grid = OtfsGrid(doppler_bins=2, delay_bins=4)
-        rng = np.random.default_rng(0)
-        ps = sample_all_paths(1.0, 3, 3, 0, grid, rng)
-        g1 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        g2 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        from dataclasses import replace
-        h1 = effective_channel(replace(ps, gains=g1), grid)
-        h2 = effective_channel(replace(ps, gains=g2), grid)
-        h12 = effective_channel(replace(ps, gains=2.0 * g1 - 3j * g2), grid)
-        np.testing.assert_allclose(h12, 2.0 * h1 - 3j * h2, atol=1e-10)
 
     def test_matches_scalar_relation_integer_doppler(self):
         # Independent bin-by-bin evaluation of the DD input-output relation
@@ -116,7 +104,7 @@ class TestEffectiveChannel:
         ps = sample_all_paths(1.0, 3, m - 1, 0, grid, rng,
                               fractional=False)
         x = rng.standard_normal(m * n) + 1j * rng.standard_normal(m * n)
-        y_matrix = effective_channel(ps, grid) @ x
+        y_matrix = link_channel(ps, grid) @ x
         y_scalar = np.zeros(m * n, dtype=complex)
         for k in range(n):
             for ell in range(m):

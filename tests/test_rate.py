@@ -9,7 +9,7 @@ from cfotfs.estimation import LinkStats
 from cfotfs.exceptions import DistinctDelayError, PowerControlError
 from cfotfs.rate import (PowerControl, achievable_rate, closed_form_terms,
                          equal_power_control, power_constraint_load,
-                         rate_distinct_delays, sinr_bin, throughput)
+                         rate_distinct_delays)
 from cfotfs.rng import substream
 
 
@@ -29,6 +29,19 @@ def single_link_setup(beta=2.0, gamma=1.5, delay=0, doppler=0, frac=0.0):
                  frac_dopplers=[[[frac]]], variances=[[[beta]]],
                  gains=[[[1.0]]])
     return grid, stats, pc, ps
+
+
+def perfect_csi_two_aps(beta=0.8):
+    """Two perfect-CSI single-path APs serving one user: with
+    rho_d = 1/(2 beta) the SINR is exactly one."""
+    stats = make_stats([[[beta]], [[beta]]], [[[beta]], [[beta]]])
+    pc = equal_power_control(stats)
+    pathsets = PathSet(delay_taps=np.zeros((2, 1, 1)),
+                       doppler_taps=np.zeros((2, 1, 1)),
+                       frac_dopplers=np.zeros((2, 1, 1)),
+                       variances=np.full((2, 1, 1), beta),
+                       gains=np.ones((2, 1, 1)))
+    return stats, pc, pathsets
 
 
 def random_instance(seed, *, distinct=False, n_paths=2, n_users=2, n_aps=2,
@@ -77,42 +90,39 @@ class TestSinr:
         rho_d = 3.0
         eta = pc.eta[0, 0]
         expected = (rho_d * eta * 1.5**2) / (rho_d * eta * 2.0 * 1.5 + 1.0)
-        for r in range(grid.size):
-            assert sinr_bin(0, r, stats, pc, pathsets, rho_d, grid) == \
-                pytest.approx(expected, rel=1e-12)
+        report = achievable_rate(0, stats, pc, pathsets, rho_d, grid)
+        assert report.sinr == pytest.approx(expected, rel=1e-12)
 
     def test_zero_downlink_power(self):
         grid, stats, pc, pathsets = single_link_setup()
-        assert sinr_bin(0, 0, stats, pc, pathsets, 0.0, grid) == 0.0
+        assert achievable_rate(0, stats, pc, pathsets, 0.0, grid).sinr == 0.0
 
     def test_monotone_in_downlink_power(self):
         inst = random_instance(1)
         values = [
-            sinr_bin(0, 1, inst.stats, inst.pc, inst.pathsets, rho, inst.grid)
+            achievable_rate(0, inst.stats, inst.pc, inst.pathsets, rho,
+                            inst.grid).sinr
             for rho in np.logspace(8, 16, 12)
         ]
         assert np.all(np.diff(values) > 0)
 
     def test_profile_matches_bins(self):
         # The dense per-bin SINR profile, on instances whose links may
-        # repeat a delay tap under fractional Doppler, equals sinr_bin at
-        # every bin.
+        # repeat a delay tap under fractional Doppler, equals the reported
+        # SINR at every bin.
         for seed in range(3):
             inst = random_instance(seed + 2, n_paths=3)
             for q in range(inst.stats.n_users):
                 profile = per_bin_sinr(q, inst.stats, inst.pc, inst.pathsets,
                                        inst.rho_d, inst.grid)
+                sinr = achievable_rate(q, inst.stats, inst.pc, inst.pathsets,
+                                       inst.rho_d, inst.grid).sinr
                 for r in range(inst.grid.size):
-                    assert sinr_bin(q, r, inst.stats, inst.pc, inst.pathsets,
-                                    inst.rho_d, inst.grid) == \
-                        pytest.approx(profile[r], rel=1e-12)
+                    assert sinr == pytest.approx(profile[r], rel=1e-12)
 
     def test_bin_outside_grid_rejected(self):
         inst = random_instance(2)
         for r in (-1, inst.grid.size):
-            with pytest.raises(ValueError):
-                sinr_bin(0, r, inst.stats, inst.pc, inst.pathsets,
-                         inst.rho_d, inst.grid)
             with pytest.raises(ValueError):
                 closed_form_terms(0, r, inst.stats, inst.pc, inst.pathsets,
                                   inst.grid)
@@ -122,7 +132,7 @@ class TestSinr:
             inst = random_instance(seed, n_paths=3)
             report = achievable_rate(0, inst.stats, inst.pc, inst.pathsets,
                                      inst.rho_d, inst.grid)
-            assert np.all(report.sinr >= 0.0)
+            assert report.sinr >= 0.0
 
 
 class TestAchievableRate:
@@ -131,13 +141,7 @@ class TestAchievableRate:
         # makes the SINR exactly one, hence rate exactly 1 bit/s/Hz.
         grid = OtfsGrid(doppler_bins=2, delay_bins=2)
         beta = 0.8
-        stats = make_stats([[[beta]], [[beta]]], [[[beta]], [[beta]]])
-        pc = equal_power_control(stats)
-        pathsets = PathSet(delay_taps=np.zeros((2, 1, 1)),
-                           doppler_taps=np.zeros((2, 1, 1)),
-                           frac_dopplers=np.zeros((2, 1, 1)),
-                           variances=np.full((2, 1, 1), beta),
-                           gains=np.ones((2, 1, 1)))
+        stats, pc, pathsets = perfect_csi_two_aps(beta)
         rho_d = 1.0 / (2.0 * beta)
         report = achievable_rate(0, stats, pc, pathsets, rho_d, grid)
         assert report.rate_bps_hz == pytest.approx(1.0, rel=1e-12)
@@ -149,9 +153,9 @@ class TestAchievableRate:
         inst = random_instance(3)
         report = achievable_rate(0, inst.stats, inst.pc, inst.pathsets,
                                  inst.rho_d, inst.grid)
-        assert report.sinr.shape == (1,)
+        assert isinstance(report.sinr, float)
         assert report.rate_bps_hz == pytest.approx(
-            np.log2(1.0 + report.sinr[0]))
+            np.log2(1.0 + report.sinr))
         assert report.throughput_bps == pytest.approx(
             report.rate_bps_hz * inst.grid.bandwidth_hz)
 
@@ -194,8 +198,8 @@ class TestDistinctDelayFastPath:
                                        inst.rho_d, inst.grid)
                 assert np.ptp(per_bin) / per_bin.mean() < 1e-9
                 for report in (fast, full):
-                    assert np.max(np.abs(per_bin - report.sinr[0])) \
-                        / report.sinr[0] < 1e-9
+                    assert np.max(np.abs(per_bin - report.sinr)) \
+                        / report.sinr < 1e-9
 
     def test_repeated_delays_rejected(self):
         # Three APs, two users: only AP 1 repeats a tap, on user 1's link,
@@ -229,29 +233,35 @@ class TestDistinctDelayFastPath:
         eta = pc.eta[0, 0]
         ds = np.sqrt(eta) * gamma.sum()
         den = rho_d * eta * beta.sum() * gamma.sum() + 1.0
-        assert report.sinr[0] == pytest.approx(rho_d * ds**2 / den, rel=1e-12)
+        assert report.sinr == pytest.approx(rho_d * ds**2 / den, rel=1e-12)
 
 
 class TestThroughput:
+    """RateReport.throughput_bps is the bandwidth M*delta_f times the
+    spectral efficiency."""
+
     def test_bandwidth_times_rate(self):
         grid = OtfsGrid(doppler_bins=20, delay_bins=30, delta_f_hz=15e3)
-        assert throughput(1.0, grid) == pytest.approx(0.45e6)
+        stats, pc, pathsets = perfect_csi_two_aps(0.8)
+        report = achievable_rate(0, stats, pc, pathsets, 1.0 / 1.6, grid)
+        assert report.rate_bps_hz == pytest.approx(1.0, rel=1e-12)
+        assert report.throughput_bps == pytest.approx(0.45e6)
 
     def test_zero_rate(self):
         grid = OtfsGrid(doppler_bins=20, delay_bins=30)
-        assert throughput(0.0, grid) == 0.0
+        stats, pc, pathsets = perfect_csi_two_aps()
+        for rate_fn in (achievable_rate, rate_distinct_delays):
+            assert rate_fn(0, stats, pc, pathsets, 0.0,
+                           grid).throughput_bps == 0.0
 
     def test_linear_in_subcarrier_spacing(self):
         g1 = OtfsGrid(doppler_bins=20, delay_bins=30, delta_f_hz=15e3)
         g2 = OtfsGrid(doppler_bins=20, delay_bins=30, delta_f_hz=30e3)
-        assert throughput(1.7, g2) == pytest.approx(2.0 * throughput(1.7, g1))
-
-    def test_accepts_rate_report(self):
-        inst = random_instance(4)
-        report = achievable_rate(0, inst.stats, inst.pc, inst.pathsets,
-                                 inst.rho_d, inst.grid)
-        assert throughput(report, inst.grid) == pytest.approx(
-            report.throughput_bps)
+        stats, pc, pathsets = perfect_csi_two_aps()
+        r1, r2 = (achievable_rate(0, stats, pc, pathsets, 7.0, g)
+                  for g in (g1, g2))
+        assert r2.rate_bps_hz == r1.rate_bps_hz
+        assert r2.throughput_bps == pytest.approx(2.0 * r1.throughput_bps)
 
 
 def test_rate_decreases_with_more_users():
