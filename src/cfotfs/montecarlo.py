@@ -1,10 +1,14 @@
 """Matrix-level Monte Carlo oracle for the closed-form SINR.
 
-Freezes taps (hence the path operators), resamples estimated gains and
-estimation errors trial by trial, builds the true and estimated channel
-matrices explicitly, and accumulates the four received-signal terms whose
-closed forms the rate module evaluates: desired-signal mean, precoding
-gain uncertainty, inter-symbol and inter-user interference.
+Freezes taps (hence the dense path operators T), resamples estimated gains
+and estimation errors trial by trial, and accumulates the four
+received-signal terms whose closed forms the rate module evaluates:
+desired-signal mean, precoding gain uncertainty, inter-symbol and
+inter-user interference. Only row r of each channel product enters them,
+so the oracle precomputes the row products T_pq,i[r, :] T_pq',j^H from the
+dense operators and combines them with each trial's gains; it never forms
+a channel matrix, and it draws the gains in the same order (batch, AP,
+user) as a computation with explicit channel matrices would.
 """
 
 from __future__ import annotations
@@ -59,6 +63,11 @@ def random_instance(grid: OtfsGrid, n_aps: int, n_users: int, n_paths: int,
                               pc=pc, rho_d=rho_d)
 
 
+# Trials are split into this many batches; standard errors come from the
+# spread of the per-batch statistics.
+BATCHES = 10
+
+
 @dataclass
 class TermEstimates:
     """Sample estimates of the four SINR terms with batch-means standard
@@ -73,7 +82,6 @@ class TermEstimates:
     iui_power: float
     iui_se: float
     trials: int
-    low_trials: bool
 
     def empirical_sinr(self, rho_d: float) -> float:
         denom = self.bu_var + self.isi_power + self.iui_power + 1.0 / rho_d
@@ -81,80 +89,65 @@ class TermEstimates:
 
 
 def estimate_terms(instance: ValidationInstance, q: int, r: int, trials: int,
-                   seed=None, batches: int = 10) -> TermEstimates:
+                   seed=None) -> TermEstimates:
     """Estimate the four SINR terms of user q at bin r by simulation.
 
-    Per trial, every link draws a consistent (gain, estimate) pair through
-    the orthogonal MMSE decomposition; the bin-r row of the user's true
-    channel is paired against every user's estimated channel matrix.
-    Trials are split into batches with independent substreams, so the
-    estimates do not depend on execution order; standard errors come from
-    the spread of the per-batch statistics. An integer seed keys the
-    substreams directly; a Generator (or None) draws that key.
+    The precoding for user q' reaches user q at bin r as the row
+    sum_p sqrt(eta_pq') sum_ij h_pq,i conj(hhat_pq',j) T_pq,i[r, :] T_pq',j^H.
+    The row products are built once per call, one AP's dense operators at
+    a time, so a trial costs O(L^2 MN) per link. Per trial, every link
+    draws a consistent (gain, estimate) pair through the orthogonal MMSE
+    decomposition, AP by AP and user by user. Each batch of trials draws
+    from its own substream, so the estimates do not depend on execution
+    order. An integer seed keys the substreams directly; a Generator (or
+    None) draws that key.
     """
     grid = instance.grid
-    stats, pc = instance.stats, instance.pc
-    mn = grid.size
-    if not 0 <= r < mn:
+    stats, pc, paths = instance.stats, instance.pc, instance.pathsets
+    if not 0 <= r < grid.size:
         raise ValueError("bin index outside grid")
-    if batches < 2:
-        raise ValueError("need at least two batches for standard errors")
-    n_aps, n_users = stats.n_aps, stats.n_users
-    per_batch = trials // batches
+    per_batch = trials // BATCHES
     if per_batch < 1:
         raise ValueError("trials must be at least the number of batches")
+    n_aps, n_users, n_paths = paths.delay_taps.shape
 
-    # Dense operator of every (AP, user, path), shaped (P, Q, L, MN, MN).
-    paths = instance.pathsets
-    t_stacks = np.empty(paths.delay_taps.shape + (mn, mn), dtype=complex)
-    for index in np.ndindex(*paths.delay_taps.shape):
-        t_stacks[index] = dd_operator(paths.path(*index), grid)
+    # rows[p, q', i, j] = T_pq,i[r, :] T_pq',j^H, one AP's operators at a time.
+    rows = np.empty((n_aps, n_users, n_paths, n_paths, grid.size), dtype=complex)
+    ops = np.empty((n_users, n_paths, grid.size, grid.size), dtype=complex)
+    for p in range(n_aps):
+        for k, i in np.ndindex(n_users, n_paths):
+            ops[k, i] = dd_operator(paths.path(p, k, i), grid)
+        rows[p] = np.einsum("ic,kjdc->kijd", ops[q, :, r, :].conj(), ops).conj()
     if not isinstance(seed, (int, np.integer)):
         seed = int(as_rng(seed).integers(2**63))
 
-    ds_b = np.zeros(batches, dtype=complex)
-    bu_b = np.zeros(batches)
-    isi_b = np.zeros(batches)
-    iui_b = np.zeros(batches)
-    for b in range(batches):
+    ds_b = np.zeros(BATCHES, dtype=complex)
+    bu_b, isi_b, iui_b = np.zeros((3, BATCHES))
+    for b in range(BATCHES):
         rng = substream(seed, b)
-        g_own = np.zeros((per_batch, mn), dtype=complex)
-        g_cross = np.zeros((n_users, per_batch, mn), dtype=complex)
-        for p in range(n_aps):
-            row_h = None
-            hats = []
-            for qp in range(n_users):
-                h, h_hat = sample_estimate(stats.beta[p, qp],
-                                           stats.gamma[p, qp], rng,
-                                           size=(per_batch, stats.beta.shape[2]))
-                hats.append(h_hat)
-                if qp == q:
-                    # Bin-r row of the true channel H_pq.
-                    row_h = np.einsum("ti,ic->tc", h, t_stacks[p, q, :, r, :])
-            for qp in range(n_users):
-                h_hat_full = np.einsum("ti,iab->tab", hats[qp], t_stacks[p, qp])
-                v = np.einsum("tc,tdc->td", row_h, h_hat_full.conj())
-                if qp == q:
-                    g_own += np.sqrt(pc.eta[p, q]) * v
-                else:
-                    g_cross[qp] += np.sqrt(pc.eta[p, qp]) * v
-        a = g_own[:, r]
+        # (P, Q, 2, trials, L): true gains and estimates of every link.
+        draws = np.array([[sample_estimate(stats.beta[p, k], stats.gamma[p, k],
+                                           rng, size=(per_batch, n_paths))
+                           for k in range(n_users)] for p in range(n_aps)])
+        h, h_hat = draws[:, q, 0], draws[:, :, 1]
+        # g[q', t]: bin-r row received by user q when precoding for q'.
+        g = np.einsum("pk,pti,pktj,pkijd->ktd", np.sqrt(pc.eta),
+                      h, h_hat.conj(), rows, optimize=True)
+        a = g[q, :, r]
         ds_b[b] = a.mean()
         bu_b[b] = a.var(ddof=1)
-        isi_b[b] = (np.abs(g_own) ** 2).sum(axis=1).mean() - (np.abs(a) ** 2).mean()
-        iui_b[b] = (np.abs(g_cross) ** 2).sum(axis=(0, 2)).mean()
+        isi_b[b] = (np.abs(g[q]) ** 2).sum(axis=1).mean() - (np.abs(a) ** 2).mean()
+        iui_b[b] = (np.abs(np.delete(g, q, axis=0)) ** 2).sum(axis=(0, 2)).mean()
 
     def se(x):
-        return float(np.std(x, ddof=1) / np.sqrt(batches))
+        return float(np.std(x, ddof=1) / np.sqrt(BATCHES))
 
-    ds = complex(ds_b.mean())
     return TermEstimates(
-        ds=ds, ds_se=float(np.sqrt((np.abs(ds_b - ds) ** 2).sum()
-                                   / (batches - 1) / batches)),
+        ds=complex(ds_b.mean()), ds_se=se(ds_b),
         bu_var=float(bu_b.mean()), bu_se=se(bu_b),
         isi_power=float(isi_b.mean()), isi_se=se(isi_b),
         iui_power=float(iui_b.mean()), iui_se=se(iui_b),
-        trials=per_batch * batches, low_trials=trials < 100,
+        trials=per_batch * BATCHES,
     )
 
 

@@ -111,7 +111,7 @@ def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys,
 
 def test_validate_command(tmp_path, capsys):
     report_path = tmp_path / "validation.json"
-    rc = cli.main(["validate", "--trials", "3000", "--instances", "1",
+    rc = cli.main(["validate", "--trials", "12000", "--instances", "1",
                    "--seed", "2", "--out", str(report_path)])
     assert rc == 0
     out = capsys.readouterr().out

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dense_reference import per_bin_sinr
+from dense_reference import explicit_terms, per_bin_sinr
 
 from cfotfs import experiments
 from cfotfs.channel import OtfsGrid, PathSet
@@ -20,12 +20,24 @@ def make_stats(beta, gamma):
                      xi=np.zeros(beta.shape[:2]), rho_p=1.0, rho_u=1.0)
 
 
-def desk_instance(seed, **kw):
-    grid = OtfsGrid(doppler_bins=2, delay_bins=4)
+def grid_instance(delay_bins, doppler_bins, seed, n_paths=2, **kw):
+    """Two APs and two users on an M x N grid (M delay, N Doppler bins)."""
+    grid = OtfsGrid(doppler_bins=doppler_bins, delay_bins=delay_bins)
     rho_d, rho_u, rho_p = experiments.normalized_powers(
         experiments.PowerParams(), grid)
-    return random_instance(grid, n_aps=2, n_users=2, n_paths=2, rho_d=rho_d,
-                           rho_u=rho_u, rho_p=rho_p, seed=seed, **kw)
+    return random_instance(grid, n_aps=2, n_users=2, n_paths=n_paths,
+                           rho_d=rho_d, rho_u=rho_u, rho_p=rho_p, seed=seed,
+                           **kw)
+
+
+def desk_instance(seed, **kw):
+    return grid_instance(4, 2, seed, **kw)
+
+
+def bench_instance():
+    """The 16x8 instance of the oracle benchmark."""
+    return grid_instance(16, 8, 5, n_paths=3, l_max=2, k_max=1,
+                         fractional=True)
 
 
 class TestEstimateTerms:
@@ -69,12 +81,22 @@ class TestEstimateTerms:
             assert abs(est.isi_power - isi) <= 3.0 * est.isi_se
             assert abs(est.iui_power - iui) <= 3.0 * est.iui_se
 
-    def test_low_trials_flag(self):
-        inst = desk_instance(1)
-        est = estimate_terms(inst, q=0, r=0, trials=50, seed=3, batches=5)
-        assert est.low_trials
-        est = estimate_terms(inst, q=0, r=0, trials=500, seed=3, batches=5)
-        assert not est.low_trials
+    @pytest.mark.parametrize("make, q, r, trials", [
+        (lambda: desk_instance(5), 1, 0, 2000),
+        (lambda: desk_instance(5), 0, 7, 2000),
+        # Bin 2 * 16 + 1 has delay coordinate 1, inside the path span
+        # l_max = 2; bin 127 is the last.
+        (bench_instance, 1, 2 * 16 + 1, 300),
+        (bench_instance, 1, 127, 300),
+    ], ids=["desk-0", "desk-last", "16x8-inside-span", "16x8-last"])
+    def test_matches_explicit_matrices(self, make, q, r, trials):
+        inst = make()
+        est = estimate_terms(inst, q, r, trials, seed=3)
+        ref = explicit_terms(inst, q, r, trials, seed=3)
+        got = (est.ds, est.ds_se, est.bu_var, est.bu_se, est.isi_power,
+               est.isi_se, est.iui_power, est.iui_se)
+        for value, expected in zip(got, ref):
+            assert abs(value - expected) <= 1e-12 * abs(expected)
 
     def test_deterministic_given_seed(self):
         inst = desk_instance(2)
@@ -90,6 +112,27 @@ class TestEstimateTerms:
         b = estimate_terms(inst, q=0, r=2, trials=400,
                            seed=np.random.default_rng(9))
         assert a == b
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: the closed-form ISI weight "
+                          "|1 - D|^2 disagrees with the oracle's row energy "
+                          "1 - |D|^2 under fractional Doppler at N >= 3")
+@pytest.mark.parametrize("delay_bins, doppler_bins, n_paths, k_max, seed, "
+                         "trials", [
+    (8, 4, 4, 0, 1, 20_000),
+    pytest.param(30, 20, 5, 3, 3, 4000, marks=pytest.mark.slow),
+], ids=["8x4", "30x20"])
+def test_isi_matches_closed_form_within_3se(delay_bins, doppler_bins,
+                                            n_paths, k_max, seed, trials):
+    # One delay tap of slack forces same-delay path pairs, and fractional
+    # Doppler makes their Dirichlet kernel D neither 0 nor 1.
+    inst = grid_instance(delay_bins, doppler_bins, seed, n_paths=n_paths,
+                         l_max=1, k_max=k_max, fractional=True)
+    est = estimate_terms(inst, q=0, r=0, trials=trials, seed=0)
+    _, _, isi, _ = closed_form_terms(0, 0, inst.stats, inst.pc,
+                                     inst.pathsets, inst.grid)
+    assert abs(est.isi_power - isi) <= 3.0 * est.isi_se
 
 
 class TestValidateRate:
