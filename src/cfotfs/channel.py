@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InfeasibleConfigError
-from .rng import as_rng, sample_cn
+from .rng import as_rng, cn_from_normals
 
 SPEED_OF_LIGHT = 2.998e8  # m/s
 
@@ -66,7 +66,7 @@ class DdPath:
             raise ValueError("fractional Doppler must lie strictly in (-0.5, 0.5)")
 
 
-@dataclass
+@dataclass(slots=True)
 class PathSet:
     """Paths of one link (arrays shaped (L,)) or of a batch of links
     (shaped (..., L), e.g. (AP, user, path)). Indexing and iteration walk
@@ -90,9 +90,9 @@ class PathSet:
         for arr in (self.doppler_taps, self.frac_dopplers, self.variances, self.gains):
             if arr.shape != shape:
                 raise ValueError("path arrays must have equal shapes")
-        if np.any(self.variances <= 0):
-            raise ValueError("path variances must be positive")
-        if np.any(np.abs(self.frac_dopplers) >= 0.5):
+        if not np.all(np.isfinite(self.variances) & (self.variances > 0)):
+            raise ValueError("path variances must be positive and finite")
+        if not np.all(np.abs(self.frac_dopplers) < 0.5):
             raise ValueError("fractional Doppler must lie strictly in (-0.5, 0.5)")
 
     @property
@@ -154,15 +154,22 @@ def sample_all_paths(beta_pair, n_paths: int, l_max: int, k_max: int,
     {-k_max..k_max}, and fractional Doppler uniform on (-0.5, 0.5) when
     enabled. Per-path variances split each link's beta by the power
     profile: "uniform" gives beta/n_paths each, "replicate" gives beta to
-    every path. Gains are complex normal with those variances. Links are
-    drawn one after another in row-major order, each taking its delays,
-    Doppler taps, fractions and gains from the stream in that order.
+    every path. Gains are complex normal with those variances.
+
+    Links are drawn one after another in row-major order, each with three
+    generator calls into preallocated arrays: its delay and Doppler taps
+    (one array-bounded integers call, or a choice and an integers call
+    for distinct delays), its fractions and its 2 x n_paths standard
+    normals, real parts first. The fractions are shifted and the gains
+    assembled once for the whole network afterwards. This is the same
+    stream as drawing delays, Doppler taps, uniform(-0.5, 0.5) fractions
+    and the real and imaginary normals with one call each, bit for bit.
     """
     beta_pair = np.asarray(beta_pair, dtype=float)
     if n_paths < 1:
         raise ValueError("need at least one path")
-    if np.any(beta_pair <= 0):
-        raise ValueError("beta_pair must be positive")
+    if not np.all(np.isfinite(beta_pair) & (beta_pair > 0)):
+        raise ValueError("beta_pair must be positive and finite")
     if not 0 <= l_max <= grid.delay_bins - 1:
         raise ValueError("l_max must lie in [0, delay_bins - 1]")
     k_bound = max(grid.doppler_bins // 2 - 1, 0)
@@ -176,19 +183,28 @@ def sample_all_paths(beta_pair, n_paths: int, l_max: int, k_max: int,
 
     rng = as_rng(seed)
     shape = beta_pair.shape + (n_paths,)
+    n_links = beta_pair.size
     share = n_paths if power_profile == "uniform" else 1
     variances = np.repeat(beta_pair[..., None] / share, n_paths, axis=-1)
-    delays, dopplers = np.empty((2,) + shape, dtype=int)
-    fracs = np.zeros(shape)
-    gains = np.empty(shape, dtype=complex)
-    for link in np.ndindex(*beta_pair.shape):
+    # Delay row then Doppler row of every link; bounds of both rows.
+    taps = np.empty((2, n_links, n_paths), dtype=int)
+    low = np.repeat([[0], [-k_max]], n_paths, axis=1)
+    high = np.repeat([[l_max + 1], [k_max + 1]], n_paths, axis=1)
+    fracs = np.zeros((n_links, n_paths))
+    normals = np.empty((n_links, 2, n_paths))
+    for i in range(n_links):
         if distinct_delays:
-            delays[link] = rng.choice(l_max + 1, size=n_paths, replace=False)
+            taps[0, i] = rng.choice(l_max + 1, size=n_paths, replace=False)
+            taps[1, i] = rng.integers(-k_max, k_max + 1, size=n_paths)
         else:
-            delays[link] = rng.integers(0, l_max + 1, size=n_paths)
-        dopplers[link] = rng.integers(-k_max, k_max + 1, size=n_paths)
+            taps[:, i] = rng.integers(low, high)
         if fractional:
-            fracs[link] = rng.uniform(-0.5, 0.5, size=n_paths)
-        gains[link] = sample_cn(rng, variances[link])
+            rng.random(out=fracs[i])
+        rng.standard_normal(out=normals[i])
+    if fractional:
+        fracs -= 0.5  # uniform(-0.5, 0.5) is -0.5 + 1.0 * random()
+    delays, dopplers = taps.reshape((2,) + shape)
+    re, im = normals.swapaxes(0, 1).reshape((2,) + shape)
     return PathSet(delay_taps=delays, doppler_taps=dopplers,
-                   frac_dopplers=fracs, variances=variances, gains=gains)
+                   frac_dopplers=fracs.reshape(shape), variances=variances,
+                   gains=cn_from_normals(variances, re, im))

@@ -190,8 +190,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
-        # Bad values and unreadable files exit with argparse's usage code.
-        print(f"cfotfs: error: {exc}", file=sys.stderr)
+        # Bad values and unreadable files exit with argparse's usage code;
+        # notes (such as the failing realization's key) join the line.
+        message = "; ".join([str(exc), *getattr(exc, "__notes__", [])])
+        print(f"cfotfs: error: {message}", file=sys.stderr)
         return 2
 
 

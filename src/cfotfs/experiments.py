@@ -7,6 +7,7 @@ import csv
 import hashlib
 import io
 import json
+import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -194,7 +195,13 @@ def realize_user_rates(config: ExperimentConfig, n_aps: int, n_users: int,
 def _realization_task(args):
     config, n_aps, n_users, mode, index = args
     rng = substream(config.seed, _MODE_IDS[mode], n_aps, n_users, index)
-    rates, tputs = realize_user_rates(config, n_aps, n_users, mode, rng)
+    try:
+        rates, tputs = realize_user_rates(config, n_aps, n_users, mode, rng)
+    except Exception as exc:
+        # The note travels with the exception out of worker processes.
+        exc.add_note(f"in realization seed={config.seed} mode={mode} "
+                     f"aps={n_aps} users={n_users} index={index}")
+        raise
     return index, rates, tputs
 
 
@@ -337,18 +344,36 @@ def git_blob_sha1(data: bytes) -> str:
     return h.hexdigest()
 
 
+def _realization_count(csv_data: bytes) -> int:
+    """Network realizations behind a CDF or sweep CSV: distinct (mode,
+    realization) pairs of a CDF, the sum of a sweep's realizations column."""
+    rows = list(csv.DictReader(io.StringIO(csv_data.decode())))
+    if rows and "realizations" in rows[0]:
+        return sum(int(row["realizations"]) for row in rows)
+    return len({(row["mode"], row["realization"]) for row in rows})
+
+
 def write_run(out_path, csv_data: bytes, command: str,
               config: ExperimentConfig, started: float) -> str:
     """Write the CSV and its JSON run manifest; returns the manifest path."""
     out_path = str(out_path)
     with open(out_path, "wb") as fh:
         fh.write(csv_data)
+    wall_time_s = time.time() - started
+    realizations = _realization_count(csv_data)
     manifest = {
         "command": command,
         "config": config_to_dict(config),
         "output": out_path,
         "content_sha1": git_blob_sha1(csv_data),
-        "wall_time_s": time.time() - started,
+        "wall_time_s": wall_time_s,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "workers": config.workers,
+        "realizations": realizations,
+        # time.time() is the wall clock, which may step.
+        "realizations_per_s": (realizations / wall_time_s
+                               if wall_time_s > 0 else None),
     }
     manifest_path = out_path + ".manifest.json"
     with open(manifest_path, "w", encoding="utf-8") as fh:

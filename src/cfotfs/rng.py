@@ -23,8 +23,15 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
 
 
 def sample_cn(rng: np.random.Generator, variance, size=None) -> np.ndarray:
-    """Circularly-symmetric complex normal samples with the given variance."""
+    """Circularly-symmetric complex normal samples with the given variance:
+    every real part is drawn, then every imaginary part."""
     variance = np.asarray(variance, dtype=float)
-    re = rng.standard_normal(size if size is not None else variance.shape)
-    im = rng.standard_normal(size if size is not None else variance.shape)
+    shape = variance.shape if size is None else size
+    return cn_from_normals(variance, rng.standard_normal(shape),
+                           rng.standard_normal(shape))
+
+
+def cn_from_normals(variance, re, im) -> np.ndarray:
+    """Complex normal values of the given variance from standard normal
+    real and imaginary parts."""
     return np.sqrt(variance / 2.0) * (re + 1j * im)

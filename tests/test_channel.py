@@ -171,6 +171,54 @@ def test_sample_all_paths_draws_links_in_row_major_order():
                                               getattr(link, name))
 
 
+@pytest.mark.parametrize("kwargs", [
+    {}, {"distinct_delays": True, "fractional": False},
+    {"power_profile": "replicate"}])
+def test_sample_all_paths_replays_five_call_stream(kwargs):
+    # Reference: the sampler's earlier loop, five generator calls per link
+    # (delays, Doppler taps, fractions, real parts, imaginary parts),
+    # written out. Three paths with k_max > 0 is an odd number of 32-bit
+    # bounded draws per tap row, so PCG64's buffered half-word carries
+    # from one link into the next.
+    beta = np.array([[0.5, 1.0, 1.5], [2.0, 2.5, 3.0]])
+    batch = sample_all_paths(beta, 3, 2, 3, PAPER_GRID,
+                             np.random.default_rng(11), **kwargs)
+    rng = np.random.default_rng(11)
+    share = 1 if kwargs.get("power_profile") == "replicate" else 3
+    for p, q in np.ndindex(2, 3):
+        if kwargs.get("distinct_delays"):
+            delays = rng.choice(3, size=3, replace=False)
+        else:
+            delays = rng.integers(0, 3, size=3)
+        dopplers = rng.integers(-3, 4, size=3)
+        if kwargs.get("fractional", True):
+            fracs = rng.uniform(-0.5, 0.5, size=3)
+        else:
+            fracs = np.zeros(3)
+        variances = np.full(3, beta[p, q] / share)
+        re, im = rng.standard_normal(3), rng.standard_normal(3)
+        expected = dict(delay_taps=delays, doppler_taps=dopplers,
+                        frac_dopplers=fracs, variances=variances,
+                        gains=np.sqrt(variances / 2) * (re + 1j * im))
+        for name in FIELDS:
+            np.testing.assert_array_equal(getattr(batch, name)[p, q],
+                                          expected[name], strict=True)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_power_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        sample_all_paths(bad, 2, 2, 1, PAPER_GRID, seed=0)
+    beta = np.ones((3, 2))
+    beta[1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        sample_all_paths(beta, 2, 2, 1, PAPER_GRID, seed=0)
+    arrays = make_batch()
+    arrays["variances"][2, 1, 3] = bad
+    with pytest.raises(ValueError, match="variances must be positive and finite"):
+        PathSet(**arrays)
+
+
 def make_batch(shape=(3, 2, 4)):
     rng = np.random.default_rng(0)
     return dict(delay_taps=rng.integers(0, 3, shape),
@@ -235,7 +283,7 @@ class TestBatchedPathSet:
             PathSet(**arrays)
 
     def test_fractional_doppler_bound_anywhere_rejected(self):
-        for bad in (0.5, -0.5, 0.7):
+        for bad in (0.5, -0.5, 0.7, np.nan):
             arrays = make_batch()
             arrays["frac_dopplers"][1, 0, 2] = bad
             with pytest.raises(ValueError, match="fractional Doppler"):

@@ -127,3 +127,20 @@ def test_validate_failure_exits_nonzero(tmp_path, capsys):
                    "--seed", "2", "--gate", "1e-9"])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_failing_realization_named_on_the_error_line(tmp_path, capsys):
+    # Four distinct delay taps cannot be drawn from [0, 2]; the first
+    # realization raises, and the error line names its substream key.
+    data = experiments.config_to_dict(experiments.desk_preset(seed=4))
+    data["channel"].update(n_paths=4, distinct_delays=True)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(data))
+    out = tmp_path / "cdf.csv"
+    assert cli.main(["run-cdf", "--config", str(cfg_path),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cfotfs: error: cannot draw 4 distinct delay taps")
+    assert "; in realization seed=4 mode=uncorr aps=8 users=4 index=0" in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()

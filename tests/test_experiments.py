@@ -1,5 +1,8 @@
 import hashlib
 import json
+import pickle
+import platform
+import time
 
 import numpy as np
 import pytest
@@ -105,6 +108,24 @@ class TestRunCdf:
         b = experiments.cdf_csv_bytes(experiments.run_cdf(tiny_config(seed=2)))
         assert a != b
 
+    def test_failing_realization_names_its_key(self, monkeypatch):
+        real = experiments.realize_user_rates
+        calls = []
+
+        def fail_second(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("boom")
+            return real(*args)
+
+        monkeypatch.setattr(experiments, "realize_user_rates", fail_second)
+        with pytest.raises(RuntimeError, match="boom") as info:
+            experiments.run_point(tiny_config(realizations=3), 8, 4, "corr")
+        note = "in realization seed=42 mode=corr aps=8 users=4 index=1"
+        assert info.value.__notes__ == [note]
+        # Worker processes send exceptions back pickled.
+        assert pickle.loads(pickle.dumps(info.value)).__notes__ == [note]
+
 
 class TestRunVsAps:
     def test_rows_and_user_scaling(self):
@@ -179,6 +200,30 @@ class TestOutputs:
         assert manifest["content_sha1"] == experiments.git_blob_sha1(data)
         assert manifest["config"]["seed"] == cfg.seed
         assert manifest["wall_time_s"] > 0
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
+        assert manifest["workers"] == cfg.workers
+        assert manifest["realizations"] == 2
+        assert manifest["realizations_per_s"] == pytest.approx(
+            2 / manifest["wall_time_s"])
+
+    def test_manifest_leaves_csv_bytes_alone(self, tmp_path):
+        # The desk preset's seeded CSVs, byte for byte; timings and
+        # versions go to the manifest only.
+        cfg = tiny_config(realizations=2, shadowing="both")
+        cdf = experiments.cdf_csv_bytes(experiments.run_cdf(cfg))
+        sweep = experiments.sweep_csv_bytes(
+            experiments.run_vs_aps(cfg, ap_counts=[4, 8], user_counts=[2]))
+        for name, data, sha1, realizations in (
+                ("cdf.csv", cdf, "c2e3a9acec4deecc869156e65099f6a91f14fb6b", 4),
+                ("sweep.csv", sweep, "0ec030ab309a006d203bf3de7b57112e46ed90c1", 8)):
+            out = tmp_path / name
+            manifest_path = experiments.write_run(out, data, "run", cfg,
+                                                  time.time())
+            manifest = json.loads(open(manifest_path).read())
+            assert out.read_bytes() == data
+            assert manifest["content_sha1"] == sha1
+            assert manifest["realizations"] == realizations
 
     def test_sweep_csv_header(self):
         cfg = tiny_config(realizations=2)
