@@ -2,8 +2,7 @@
 per-user achievable rates under embedded-pilot MMSE channel estimation and
 conjugate beamforming, validated against a matrix-level Monte Carlo oracle."""
 
-from .channel import (DdPath, OtfsGrid, PathSet, max_doppler_index,
-                      sample_all_paths)
+from .channel import OtfsGrid, PathSet, max_doppler_index, sample_all_paths
 from .estimation import (LinkStats, compute_link_stats, guard_overhead,
                          mmse_coeff, sample_estimate)
 from .exceptions import (DistinctDelayError, EstimateStatisticsError,

@@ -50,27 +50,11 @@ class OtfsGrid:
         return self.delta_f_hz / self.doppler_bins
 
 
-@dataclass(frozen=True)
-class DdPath:
-    """One propagation path's taps: integer delay and Doppler taps and
-    fractional Doppler kappa in (-0.5, 0.5)."""
-
-    delay_tap: int
-    doppler_tap: int
-    frac_doppler: float
-
-    def __post_init__(self):
-        if self.delay_tap < 0:
-            raise ValueError("delay tap must be non-negative")
-        if not abs(self.frac_doppler) < 0.5:
-            raise ValueError("fractional Doppler must lie strictly in (-0.5, 0.5)")
-
-
 @dataclass(slots=True)
 class PathSet:
     """Paths of one link (arrays shaped (L,)) or of a batch of links
-    (shaped (..., L), e.g. (AP, user, path)). Indexing and iteration walk
-    the link axes: paths[p, q] is one link, paths[:, q] all of user q's."""
+    (shaped (..., L), e.g. (AP, user, path)). Read a path through the
+    arrays: paths.delay_taps[p, q, i] is path i of link (p, q)."""
 
     delay_taps: np.ndarray
     doppler_taps: np.ndarray
@@ -99,26 +83,24 @@ class PathSet:
     def n_paths(self) -> int:
         return self.delay_taps.shape[-1]
 
+    def doppler(self, links=...) -> np.ndarray:
+        """Doppler of every path in units of the Doppler resolution, the
+        integer tap plus its fraction, over the selected links (all by
+        default): paths.doppler(np.s_[:, q]) covers every AP of user q."""
+        return self.doppler_taps[links] + self.frac_dopplers[links]
+
+    # Iteration yields one-link views, rows then links. Nothing in the
+    # library iterates; it stays for the benchmark's path_pair_counts,
+    # which walks a network this way until the benchmark revision
+    # (ROADMAP item 4) reads delay_taps directly.
     def __iter__(self):
         return map(_view, zip(*self._link_arrays()))
 
-    def __getitem__(self, index) -> "PathSet":
-        key = (index if isinstance(index, tuple) else (index,)) + (slice(None),)
-        return _view(arr[key] for arr in self._link_arrays())
-
     def _link_arrays(self) -> tuple:
         if self.delay_taps.ndim < 2:
-            raise IndexError("a single link has no link axis; use path(i)")
+            raise IndexError("a single link has no link axis to iterate")
         return (self.delay_taps, self.doppler_taps, self.frac_dopplers,
                 self.variances, self.gains)
-
-    def path(self, *index) -> DdPath:
-        """Path at index (link indices, then the path), for dense operators."""
-        return DdPath(
-            delay_tap=int(self.delay_taps[index]),
-            doppler_tap=int(self.doppler_taps[index]),
-            frac_doppler=float(self.frac_dopplers[index]),
-        )
 
 
 def _view(arrays) -> PathSet:
@@ -143,7 +125,6 @@ def max_doppler_index(speed_kmh: float, grid: OtfsGrid) -> int:
 
 def sample_all_paths(beta_pair, n_paths: int, l_max: int, k_max: int,
                      grid: OtfsGrid, seed=None, *, fractional: bool = True,
-                     power_profile: str = "uniform",
                      distinct_delays: bool = False) -> PathSet:
     """Draw the path sets of every link of beta_pair (any shape: (P, Q)
     for a network, 0-d for one link) as one PathSet shaped
@@ -152,9 +133,8 @@ def sample_all_paths(beta_pair, n_paths: int, l_max: int, k_max: int,
     Delay taps are uniform on {0..l_max} (a random subset without
     repetition when distinct_delays is set), Doppler taps uniform on
     {-k_max..k_max}, and fractional Doppler uniform on (-0.5, 0.5) when
-    enabled. Per-path variances split each link's beta by the power
-    profile: "uniform" gives beta/n_paths each, "replicate" gives beta to
-    every path. Gains are complex normal with those variances.
+    enabled. Each path carries beta/n_paths of its link's power, and its
+    gain is complex normal with that variance.
 
     Links are drawn one after another in row-major order, each with three
     generator calls into preallocated arrays: its delay and Doppler taps
@@ -175,8 +155,6 @@ def sample_all_paths(beta_pair, n_paths: int, l_max: int, k_max: int,
     k_bound = max(grid.doppler_bins // 2 - 1, 0)
     if not 0 <= k_max <= k_bound:
         raise ValueError(f"k_max must lie in [0, {k_bound}] for this grid")
-    if power_profile not in ("uniform", "replicate"):
-        raise ValueError(f"unknown power profile {power_profile!r}")
     if distinct_delays and n_paths > l_max + 1:
         raise InfeasibleConfigError(
             f"cannot draw {n_paths} distinct delay taps from [0, {l_max}]")
@@ -184,8 +162,7 @@ def sample_all_paths(beta_pair, n_paths: int, l_max: int, k_max: int,
     rng = as_rng(seed)
     shape = beta_pair.shape + (n_paths,)
     n_links = beta_pair.size
-    share = n_paths if power_profile == "uniform" else 1
-    variances = np.repeat(beta_pair[..., None] / share, n_paths, axis=-1)
+    variances = np.repeat(beta_pair[..., None] / n_paths, n_paths, axis=-1)
     # Delay row then Doppler row of every link; bounds of both rows.
     taps = np.empty((2, n_links, n_paths), dtype=int)
     low = np.repeat([[0], [-k_max]], n_paths, axis=1)

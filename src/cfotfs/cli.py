@@ -93,7 +93,7 @@ def cmd_validate(args) -> int:
             fractional=(i % 2 == 0))
         report = montecarlo.validate_rate(instance, trials=args.trials,
                                           seed=args.seed + i, gate=args.gate)
-        reports.append(json.loads(report.to_json()))
+        reports.append(report.to_dict())
         status = "pass" if report.passed else "FAIL"
         print(f"instance {i}: {status}, max SINR rel. error "
               f"{report.max_rel_error:.4f} (gate {args.gate})")

@@ -49,7 +49,6 @@ class ChannelParams:
     k_max: int = 3
     k_hat: int = 1
     fractional: bool = True
-    power_profile: str = "uniform"
     distinct_delays: bool = False
 
 
@@ -172,8 +171,7 @@ def realize_user_rates(config: ExperimentConfig, n_aps: int, n_users: int,
     layout = apply_shadowing(place_network(net, rng), net, rng)
     paths = sample_all_paths(
         layout.beta_pair, ch.n_paths, ch.l_max, ch.k_max, grid, rng,
-        fractional=ch.fractional, power_profile=ch.power_profile,
-        distinct_delays=ch.distinct_delays)
+        fractional=ch.fractional, distinct_delays=ch.distinct_delays)
     rho_d, rho_u, rho_p = normalized_powers(config.powers, grid)
     stats = compute_link_stats(paths.variances, ch.k_max, ch.k_hat, rho_p,
                                rho_u, grid)

@@ -13,8 +13,7 @@ user) as a computation with explicit channel matrices would.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -39,24 +38,24 @@ class ValidationInstance:
 
 def random_instance(grid: OtfsGrid, n_aps: int, n_users: int, n_paths: int,
                     rho_d: float, rho_u: float, rho_p: float, seed=None, *,
-                    l_max: int = None, k_max: int = 0, k_hat: int = 0,
-                    fractional: bool = True, distinct_delays: bool = False,
-                    area_side_km: float = 1.0) -> ValidationInstance:
+                    l_max: int = None, k_max: int = 0,
+                    fractional: bool = True,
+                    distinct_delays: bool = False) -> ValidationInstance:
     """Random geometry, paths and estimation statistics for validation.
 
     Runs the same pipeline as the experiment driver (placement, shadowing,
     path sampling, MMSE statistics, equal power control) on a
-    grid small enough for dense channel matrices.
+    grid small enough for dense channel matrices, over the default
+    network area and with a pilot guard set by k_max alone (k_hat = 0).
     """
     rng = as_rng(seed)
     l_max = grid.delay_bins - 1 if l_max is None else l_max
-    net = NetworkConfig(num_aps=n_aps, num_users=n_users,
-                        area_side_km=area_side_km)
+    net = NetworkConfig(num_aps=n_aps, num_users=n_users)
     layout = apply_shadowing(place_network(net, rng), net, rng)
     pathsets = sample_all_paths(layout.beta_pair, n_paths, l_max, k_max,
                                 grid, rng, fractional=fractional,
                                 distinct_delays=distinct_delays)
-    stats = compute_link_stats(pathsets.variances, k_max, k_hat, rho_p, rho_u,
+    stats = compute_link_stats(pathsets.variances, k_max, 0, rho_p, rho_u,
                                grid)
     pc = rate_mod.equal_power_control(stats)
     return ValidationInstance(grid=grid, pathsets=pathsets, stats=stats,
@@ -114,9 +113,11 @@ def estimate_terms(instance: ValidationInstance, q: int, r: int, trials: int,
     # rows[p, q', i, j] = T_pq,i[r, :] T_pq',j^H, one AP's operators at a time.
     rows = np.empty((n_aps, n_users, n_paths, n_paths, grid.size), dtype=complex)
     ops = np.empty((n_users, n_paths, grid.size, grid.size), dtype=complex)
+    doppler = paths.doppler()
     for p in range(n_aps):
         for k, i in np.ndindex(n_users, n_paths):
-            ops[k, i] = dd_operator(paths.path(p, k, i), grid)
+            ops[k, i] = dd_operator(paths.delay_taps[p, k, i],
+                                    doppler[p, k, i], grid)
         rows[p] = np.einsum("ic,kjdc->kijd", ops[q, :, r, :].conj(), ops).conj()
     if not isinstance(seed, (int, np.integer)):
         seed = int(as_rng(seed).integers(2**63))
@@ -156,7 +157,7 @@ class BinCheck:
     """Closed form vs simulation at one (user, bin)."""
 
     user: int
-    dd_bin: int
+    bin: int
     sinr_closed: float
     sinr_empirical: float
     rel_error: float
@@ -183,28 +184,17 @@ class ValidationReport:
     def passed(self) -> bool:
         return all(c.rel_error <= self.gate for c in self.checks)
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def to_dict(self) -> dict:
+        """JSON-ready summary: verdict, gate, trials, worst error, the
+        per-user bin-dependence flags and every check's fields."""
+        return {
             "passed": self.passed,
             "gate": self.gate,
             "trials": self.trials,
             "max_rel_error": self.max_rel_error,
             "bin_dependence": {str(k): v for k, v in self.bin_dependence.items()},
-            "checks": [
-                {
-                    "user": c.user,
-                    "bin": c.dd_bin,
-                    "sinr_closed": c.sinr_closed,
-                    "sinr_empirical": c.sinr_empirical,
-                    "rel_error": c.rel_error,
-                    "terms_closed": c.terms_closed,
-                    "terms_empirical": c.terms_empirical,
-                    "term_std_errors": c.term_std_errors,
-                    "terms_within_3se": c.terms_within_3se,
-                }
-                for c in self.checks
-            ],
-        }, indent=2)
+            "checks": [asdict(c) for c in self.checks],
+        }
 
 
 def _default_bins(grid: OtfsGrid, limit: int = 8) -> list:
@@ -261,7 +251,7 @@ def validate_rate(instance: ValidationInstance, trials: int, seed=None,
             }
             rel = abs(sinr_emp - sinr_cf) / sinr_cf if sinr_cf > 0 else abs(sinr_emp)
             report.checks.append(BinCheck(
-                user=q, dd_bin=r, sinr_closed=sinr_cf, sinr_empirical=sinr_emp,
+                user=q, bin=r, sinr_closed=sinr_cf, sinr_empirical=sinr_emp,
                 rel_error=float(rel), terms_closed=closed,
                 terms_empirical=empirical, term_std_errors=errors,
                 terms_within_3se=within))

@@ -15,7 +15,9 @@ inter-symbol interference in the closed-form SINR, and numerical checks
 of the three operator identities the rate analysis relies on. The pair
 does not depend on the bin at all: chi_kappa_tables evaluates it once per
 path pair in closed form over (..., L) PathSet arrays (every AP of a user
-at once), and the dense per-bin chi_kappa stays as its reference.
+at once), and the dense per-bin chi_kappa stays as its reference. A path
+enters the dense constructors as two numbers: its integer delay tap and
+its Doppler k+kappa.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DdPath, OtfsGrid, PathSet
+from .channel import OtfsGrid, PathSet
 from .exceptions import IdentityCheckError
 
 
@@ -34,34 +36,24 @@ def dft_matrix(n: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
 
 
-def _doppler_exponent(path: DdPath) -> float:
-    return path.doppler_tap + path.frac_doppler
-
-
-def dd_operator(path: DdPath, grid: OtfsGrid) -> np.ndarray:
-    """Dense MN x MN matrix of one path's action on the DD grid."""
+def dd_operator(delay_tap: int, doppler: float, grid: OtfsGrid) -> np.ndarray:
+    """Dense MN x MN matrix of one path's action on the DD grid, for a
+    path with integer delay tap l and Doppler k+kappa."""
     m, n = grid.delay_bins, grid.doppler_bins
     mn = m * n
-    if not 0 <= path.delay_tap < m:
+    if not 0 <= delay_tap < m:
         raise ValueError("delay tap outside grid")
-    a = _doppler_exponent(path)
-    diag = np.exp(2j * np.pi * a * np.arange(mn) / mn)
-    # P^l D^a in one shot: column j holds diag[j] at row (j + l) mod MN.
+    diag = np.exp(2j * np.pi * doppler * np.arange(mn) / mn)
+    # P^l D^(k+kappa) at once: column j holds diag[j] at row (j + l) mod MN.
     core = np.zeros((mn, mn), dtype=complex)
-    core[(np.arange(mn) + path.delay_tap) % mn, np.arange(mn)] = diag
+    core[(np.arange(mn) + delay_tap) % mn, np.arange(mn)] = diag
     f_kron = np.kron(dft_matrix(n), np.eye(m))
     return f_kron @ core @ f_kron.conj().T
 
 
-def _same_taps(path_i: DdPath, path_j: DdPath) -> bool:
-    return (path_i.delay_tap == path_j.delay_tap
-            and path_i.doppler_tap == path_j.doppler_tap
-            and path_i.frac_doppler == path_j.frac_doppler)
-
-
-def chi_kappa(path_i: DdPath, path_j: DdPath, r: int, grid: OtfsGrid):
+def chi_kappa(path_i: tuple, path_j: tuple, r: int, grid: OtfsGrid):
     """Squared diagonal entry and squared off-diagonal row sum of
-    T_i T_j^H at bin r.
+    T_i T_j^H at bin r, for paths given as (delay tap, Doppler) pairs.
 
     chi weights the precoding-gain uncertainty and kappa the inter-symbol
     interference contributed by the (i, j) path pair. A path paired with
@@ -69,9 +61,9 @@ def chi_kappa(path_i: DdPath, path_j: DdPath, r: int, grid: OtfsGrid):
     """
     if not 0 <= r < grid.size:
         raise ValueError("bin index outside grid")
-    if _same_taps(path_i, path_j):
+    if path_i == path_j:
         return 1.0, 0.0
-    row = dd_operator(path_i, grid)[r, :] @ dd_operator(path_j, grid).conj().T
+    row = dd_operator(*path_i, grid)[r, :] @ dd_operator(*path_j, grid).conj().T
     diag = row[r]
     off = row.sum() - diag
     return float(abs(diag) ** 2), float(abs(off) ** 2)
@@ -141,8 +133,8 @@ def verify_operator_identities(paths: PathSet, grid: OtfsGrid,
     """
     m = grid.delay_bins
     mn = grid.size
-    mats = np.stack([dd_operator(paths.path(i), grid)
-                     for i in range(paths.n_paths)])
+    mats = np.stack([dd_operator(delay, doppler, grid) for delay, doppler
+                     in zip(paths.delay_taps, paths.doppler())])
     eye = np.eye(mn)
     unit_dev = max(
         float(np.max(np.abs(t @ t.conj().T - eye))) for t in mats

@@ -77,9 +77,9 @@ def _user_terms(q: int, stats: LinkStats, pc: PowerControl,
     inter-user power, all normalized by the downlink SNR. None depends on
     the DD bin. One coefficient call covers every AP of the user.
     """
-    links = pathsets[:, q]
-    doppler = links.doppler_taps + links.frac_dopplers
-    chi, kappa = chi_kappa_tables(links.delay_taps, doppler, grid.doppler_bins)
+    links = np.s_[:, q]
+    chi, kappa = chi_kappa_tables(pathsets.delay_taps[links],
+                                  pathsets.doppler(links), grid.doppler_bins)
     eta_q = pc.eta[:, q]
     gamma_q = stats.gamma[:, q, :]
     beta_q = stats.beta[:, q, :]
@@ -129,7 +129,7 @@ def rate_distinct_delays(q: int, stats: LinkStats, pc: PowerControl,
     coefficient computation. Raises DistinctDelayError naming the first
     link of user q that repeats a delay tap.
     """
-    taps = np.sort(pathsets[:, q].delay_taps, axis=1)
+    taps = np.sort(pathsets.delay_taps[:, q], axis=1)
     repeats = np.any(taps[:, 1:] == taps[:, :-1], axis=1)
     if repeats.any():
         raise DistinctDelayError(

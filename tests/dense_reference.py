@@ -18,12 +18,12 @@ def per_bin_sinr(q, stats, pc, pathsets, rho_d, grid):
     eta, beta, gamma = pc.eta, stats.beta, stats.gamma
     bu = np.zeros(grid.size)
     isi = np.zeros(grid.size)
-    for p, row in enumerate(pathsets):
-        paths = row[q]
-        n = paths.n_paths
-        coeffs = np.array([[[chi_kappa(paths.path(i), paths.path(j), r, grid)
+    doppler = pathsets.doppler()
+    for p in range(stats.n_aps):
+        paths = list(zip(pathsets.delay_taps[p, q], doppler[p, q]))
+        coeffs = np.array([[[chi_kappa(path_i, path_j, r, grid)
                              for r in range(grid.size)]
-                            for j in range(n)] for i in range(n)])
+                            for path_j in paths] for path_i in paths])
         weight = eta[p, q] * np.outer(beta[p, q], gamma[p, q])
         bu += np.einsum("ij,ijr->r", weight, coeffs[..., 0])
         isi += np.einsum("ij,ijr->r", weight, coeffs[..., 1])
@@ -48,8 +48,9 @@ def explicit_terms(instance, q, r, trials, seed):
     per_batch = trials // BATCHES
     ops = np.empty((n_aps, n_users, n_paths, grid.size, grid.size),
                    dtype=complex)
+    doppler = paths.doppler()
     for index in np.ndindex(n_aps, n_users, n_paths):
-        ops[index] = dd_operator(paths.path(*index), grid)
+        ops[index] = dd_operator(paths.delay_taps[index], doppler[index], grid)
     ds_b = np.zeros(BATCHES, dtype=complex)
     bu_b, isi_b, iui_b = np.zeros((3, BATCHES))
     for b in range(BATCHES):

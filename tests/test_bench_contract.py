@@ -1,6 +1,6 @@
 """The benchmark under bench/ calls the library through its public
 names (experiments.sample_all_paths, the rate functions' positional
-signatures, inst.pathsets[p][q] on a validation instance). Running its
+signatures, iteration over a PathSet's rows and links). Running its
 smoke check here makes a change that breaks those names fail the suite."""
 
 import subprocess

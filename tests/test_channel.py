@@ -86,11 +86,6 @@ class TestSamplePaths:
         np.testing.assert_allclose(ps.variances, 0.3)
         assert ps.variances.sum() == pytest.approx(0.9)
 
-    def test_replicate_profile(self):
-        ps = sample_all_paths(0.9, 3, 2, 1, PAPER_GRID, seed=3,
-                              power_profile="replicate")
-        np.testing.assert_allclose(ps.variances, 0.9)
-
     def test_distinct_delays(self):
         ps = sample_all_paths(1.0, 3, 2, 1, PAPER_GRID, seed=4,
                               distinct_delays=True)
@@ -134,11 +129,10 @@ def test_sample_all_paths_shape_and_stacking():
     beta = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
     sets = sample_all_paths(beta, 2, 2, 1, PAPER_GRID, seed=10)
     assert sets.n_paths == 2
-    assert len(list(sets)) == 3 and len(list(sets[0])) == 2
+    assert [len(list(row)) for row in sets] == [2, 2, 2]
     for name in FIELDS:
         assert getattr(sets, name).shape == (3, 2, 2)
     np.testing.assert_allclose(sets.variances.sum(axis=2), beta)
-    np.testing.assert_array_equal(sets[2][1].gains, sets.gains[2, 1])
 
 
 def test_sample_all_paths_draws_links_in_row_major_order():
@@ -157,8 +151,7 @@ def test_sample_all_paths_draws_links_in_row_major_order():
     # ... and a (2, 3) batch equals six single-link draws taken row-major
     # from one shared Generator, bit for bit.
     beta = np.array([[0.5, 1.0, 1.5], [2.0, 2.5, 3.0]])
-    for kwargs in ({}, {"distinct_delays": True, "fractional": False},
-                   {"power_profile": "replicate"}):
+    for kwargs in ({}, {"distinct_delays": True, "fractional": False}):
         batch = sample_all_paths(beta, 3, 2, 3, PAPER_GRID,
                                  np.random.default_rng(11), **kwargs)
         rng = np.random.default_rng(11)
@@ -167,13 +160,12 @@ def test_sample_all_paths_draws_links_in_row_major_order():
                                     **kwargs)
             assert link.delay_taps.shape == (3,)
             for name in FIELDS:
-                np.testing.assert_array_equal(getattr(batch[p, q], name),
+                np.testing.assert_array_equal(getattr(batch, name)[p, q],
                                               getattr(link, name))
 
 
 @pytest.mark.parametrize("kwargs", [
-    {}, {"distinct_delays": True, "fractional": False},
-    {"power_profile": "replicate"}])
+    {}, {"distinct_delays": True, "fractional": False}])
 def test_sample_all_paths_replays_five_call_stream(kwargs):
     # Reference: the sampler's earlier loop, five generator calls per link
     # (delays, Doppler taps, fractions, real parts, imaginary parts),
@@ -184,7 +176,6 @@ def test_sample_all_paths_replays_five_call_stream(kwargs):
     batch = sample_all_paths(beta, 3, 2, 3, PAPER_GRID,
                              np.random.default_rng(11), **kwargs)
     rng = np.random.default_rng(11)
-    share = 1 if kwargs.get("power_profile") == "replicate" else 3
     for p, q in np.ndindex(2, 3):
         if kwargs.get("distinct_delays"):
             delays = rng.choice(3, size=3, replace=False)
@@ -195,7 +186,7 @@ def test_sample_all_paths_replays_five_call_stream(kwargs):
             fracs = rng.uniform(-0.5, 0.5, size=3)
         else:
             fracs = np.zeros(3)
-        variances = np.full(3, beta[p, q] / share)
+        variances = np.full(3, beta[p, q] / 3)
         re, im = rng.standard_normal(3), rng.standard_normal(3)
         expected = dict(delay_taps=delays, doppler_taps=dopplers,
                         frac_dopplers=fracs, variances=variances,
@@ -229,23 +220,6 @@ def make_batch(shape=(3, 2, 4)):
 
 
 class TestBatchedPathSet:
-    def assert_slice(self, sub, arrays, index):
-        for name in FIELDS:
-            np.testing.assert_array_equal(getattr(sub, name),
-                                          arrays[name][index])
-
-    def test_indexing_equals_array_slices(self):
-        arrays = make_batch()
-        paths = PathSet(**arrays)
-        for p, q in np.ndindex(3, 2):
-            self.assert_slice(paths[p][q], arrays, (p, q))
-            self.assert_slice(paths[p, q], arrays, (p, q))
-            assert paths[p, q].delay_taps.shape == (4,)
-        for q in range(2):
-            self.assert_slice(paths[:, q], arrays, (slice(None), q))
-            assert paths[:, q].delay_taps.shape == (3, 4)
-        self.assert_slice(paths[1], arrays, 1)
-
     def test_iterates_rows_then_links(self):
         arrays = make_batch()
         paths = PathSet(**arrays)
@@ -254,16 +228,24 @@ class TestBatchedPathSet:
         assert [len(list(row)) for row in paths] == [2, 2, 2]
 
     def test_single_link_cannot_be_indexed(self):
-        paths = PathSet(**make_batch())
-        link = paths[0, 1]
-        with pytest.raises(IndexError):
+        # Paths are read through the arrays only; a single link has no
+        # link axis to iterate either.
+        arrays = make_batch()
+        link = PathSet(**{name: value[0, 1] for name, value in arrays.items()})
+        with pytest.raises(TypeError):
             link[0]
-        with pytest.raises(IndexError):
+        with pytest.raises(TypeError):
+            PathSet(**arrays)[0, 1]
+        with pytest.raises(IndexError, match="no link axis"):
             list(link)
-        with pytest.raises(IndexError):
-            paths[0, 1, 0]
-        assert link.path(2) == paths.path(0, 1, 2)
-        assert link.path(2).delay_tap == paths.delay_taps[0, 1, 2]
+
+    def test_doppler_is_tap_plus_fraction(self):
+        arrays = make_batch()
+        paths = PathSet(**arrays)
+        total = arrays["doppler_taps"] + arrays["frac_dopplers"]
+        np.testing.assert_array_equal(paths.doppler(), total)
+        np.testing.assert_array_equal(paths.doppler(np.s_[:, 1]),
+                                      total[:, 1])
 
     def test_mismatched_shapes_rejected(self):
         arrays = make_batch()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -119,6 +120,16 @@ def test_validate_command(tmp_path, capsys):
     reports = json.loads(report_path.read_text())
     assert reports[0]["passed"] is True
     assert reports[0]["checks"]
+
+
+def test_validate_report_bytes(tmp_path):
+    # The seeded report, byte for byte: a change to the oracle, the
+    # closed form or the report layout that moves any number shows here.
+    out = tmp_path / "validation.json"
+    assert cli.main(["validate", "--trials", "3000", "--instances", "1",
+                     "--seed", "2", "--out", str(out)]) == 0
+    assert hashlib.sha1(out.read_bytes()).hexdigest() == \
+        "6b88f31f69c7ac30dc85862e2b34fb421ab303fc"
 
 
 def test_validate_failure_exits_nonzero(tmp_path, capsys):

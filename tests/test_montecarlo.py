@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -62,9 +63,11 @@ class TestEstimateTerms:
 
     def test_single_user_no_interuser_power(self):
         inst = desk_instance(0)
+        first_user = PathSet(**{f.name: getattr(inst.pathsets, f.name)[:, :1]
+                                for f in fields(PathSet)})
         solo = ValidationInstance(
             grid=inst.grid,
-            pathsets=inst.pathsets[:, :1],
+            pathsets=first_user,
             stats=make_stats(inst.stats.beta[:, :1], inst.stats.gamma[:, :1]),
             pc=PowerControl(eta=inst.pc.eta[:, :1]), rho_d=inst.rho_d)
         est = estimate_terms(solo, q=0, r=1, trials=500, seed=1)
@@ -139,7 +142,7 @@ class TestValidateRate:
     def test_desk_instance_passes_gate(self):
         inst = desk_instance(7)
         report = validate_rate(inst, trials=4000, seed=4)
-        assert report.passed, report.to_json()
+        assert report.passed, report.to_dict()
         assert report.max_rel_error <= report.gate
 
     def test_distinct_delay_bins_statistically_flat(self):
@@ -154,8 +157,8 @@ class TestValidateRate:
                                inst.rho_d, inst.grid)
         for c in report.checks:
             if c.user == 0:
-                assert abs(c.sinr_closed - per_bin[c.dd_bin]) \
-                    / per_bin[c.dd_bin] < 1e-9
+                assert abs(c.sinr_closed - per_bin[c.bin]) \
+                    / per_bin[c.bin] < 1e-9
 
     def test_generator_seed(self):
         # A Generator seed draws the integer master seed the (user, bin)
@@ -163,7 +166,7 @@ class TestValidateRate:
         inst = desk_instance(3)
         a, b = (validate_rate(inst, trials=500, bins=[0, 1], users=[0],
                               seed=np.random.default_rng(4)) for _ in range(2))
-        assert a.to_json() == b.to_json()
+        assert a.to_dict() == b.to_dict()
         assert len(a.checks) == 2
 
     def test_interference_limited_regime(self):
@@ -175,7 +178,7 @@ class TestValidateRate:
                                  rho_d=inst.rho_d * 1e6)
         report = validate_rate(big, trials=4000, seed=6,
                                bins=[0, 3], users=[0])
-        assert report.passed, report.to_json()
+        assert report.passed, report.to_dict()
 
     def test_zero_gamma_degenerate(self):
         # No usable estimates anywhere: desired signal and SINR collapse
@@ -201,7 +204,8 @@ class TestValidateRate:
         inst = desk_instance(3)
         report = validate_rate(inst, trials=500, seed=10, bins=[0, 1],
                                users=[0])
-        data = json.loads(report.to_json())
+        data = report.to_dict()
+        assert json.loads(json.dumps(data)) == data
         assert set(data) >= {"passed", "gate", "checks", "bin_dependence"}
         assert len(data["checks"]) == 2
         assert {"ds", "bu", "isi", "iui"} == set(

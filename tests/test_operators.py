@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from cfotfs.channel import DdPath, OtfsGrid, PathSet, sample_all_paths
+from cfotfs.channel import OtfsGrid, PathSet, sample_all_paths
 from cfotfs.exceptions import IdentityCheckError
 from cfotfs.operators import (chi_kappa, chi_kappa_tables, dd_operator,
                               verify_operator_identities)
 
 
 def make_path(delay, doppler, frac=0.0):
-    return DdPath(delay_tap=delay, doppler_tap=doppler, frac_doppler=frac)
+    """(delay tap, Doppler) of one path: the Doppler is the integer tap
+    plus its fraction."""
+    return delay, doppler + frac
 
 
 def make_pathset(delays, dopplers, fracs=None):
@@ -47,18 +49,18 @@ def brute_force_operator(delay, doppler_exp, m, n):
 class TestDdOperator:
     def test_zero_taps_give_identity(self):
         grid = OtfsGrid(doppler_bins=4, delay_bins=4)
-        t = dd_operator(make_path(0, 0), grid)
+        t = dd_operator(*make_path(0, 0), grid)
         np.testing.assert_allclose(t, np.eye(16), atol=1e-12)
 
     def test_matches_brute_force_construction(self):
         grid = OtfsGrid(doppler_bins=2, delay_bins=2)
-        t = dd_operator(make_path(1, 0), grid)
+        t = dd_operator(*make_path(1, 0), grid)
         ref = brute_force_operator(1, 0.0, 2, 2)
         np.testing.assert_allclose(t, ref, atol=1e-12)
 
     def test_matches_brute_force_fractional(self):
         grid = OtfsGrid(doppler_bins=4, delay_bins=3)
-        t = dd_operator(make_path(2, -1, 0.37), grid)
+        t = dd_operator(*make_path(2, -1, 0.37), grid)
         ref = brute_force_operator(2, -1 + 0.37, 3, 4)
         np.testing.assert_allclose(t, ref, atol=1e-12)
 
@@ -67,23 +69,24 @@ class TestDdOperator:
            frac=st.floats(-0.499, 0.499))
     def test_unitary(self, delay, doppler, frac):
         grid = OtfsGrid(doppler_bins=4, delay_bins=4)
-        t = dd_operator(make_path(delay, doppler, frac), grid)
+        t = dd_operator(*make_path(delay, doppler, frac), grid)
         np.testing.assert_allclose(t @ t.conj().T, np.eye(16), atol=1e-10)
 
     def test_split_composition(self):
         # Shift-only times Doppler-only operators compose to the full one.
         grid = OtfsGrid(doppler_bins=4, delay_bins=4)
-        full = dd_operator(make_path(3, 1, 0.21), grid)
-        shift = dd_operator(make_path(3, 0, 0.0), grid)
-        dopp = dd_operator(make_path(0, 1, 0.21), grid)
+        full = dd_operator(*make_path(3, 1, 0.21), grid)
+        shift = dd_operator(*make_path(3, 0, 0.0), grid)
+        dopp = dd_operator(*make_path(0, 1, 0.21), grid)
         np.testing.assert_allclose(full, shift @ dopp, atol=1e-12)
 
 
 def link_channel(paths, grid):
     """Dense DD channel of one link: the gain-weighted sum of its path
     operators."""
-    return sum(paths.gains[i] * dd_operator(paths.path(i), grid)
-               for i in range(paths.n_paths))
+    return sum(gain * dd_operator(delay, doppler, grid)
+               for gain, delay, doppler
+               in zip(paths.gains, paths.delay_taps, paths.doppler()))
 
 
 class TestEffectiveChannel:
@@ -138,14 +141,14 @@ class TestChiKappa:
     def assert_tables_match_every_bin(self, ps, grid):
         """The single (L, L) table entry equals the dense chi_kappa at
         every bin of the grid."""
-        chi_t, kap_t = chi_kappa_tables(
-            ps.delay_taps, ps.doppler_taps + ps.frac_dopplers,
-            grid.doppler_bins)
+        chi_t, kap_t = chi_kappa_tables(ps.delay_taps, ps.doppler(),
+                                        grid.doppler_bins)
         assert chi_t.shape == kap_t.shape == (ps.n_paths, ps.n_paths)
-        for i in range(ps.n_paths):
-            for j in range(ps.n_paths):
+        paths = list(zip(ps.delay_taps, ps.doppler()))
+        for i, path_i in enumerate(paths):
+            for j, path_j in enumerate(paths):
                 for r in range(grid.size):
-                    chi, kap = chi_kappa(ps.path(i), ps.path(j), r, grid)
+                    chi, kap = chi_kappa(path_i, path_j, r, grid)
                     assert chi == pytest.approx(chi_t[i, j], abs=1e-10)
                     assert kap == pytest.approx(kap_t[i, j], abs=1e-10)
 
@@ -188,8 +191,7 @@ class TestChiKappa:
         grid = OtfsGrid(doppler_bins=5, delay_bins=3)
         ps = make_pathset([2, 2, 0], [1, 1, -1], fracs=[0.3, 0.3, 0.1])
         self.assert_tables_match_every_bin(ps, grid)
-        chi_t, kap_t = chi_kappa_tables(
-            ps.delay_taps, ps.doppler_taps + ps.frac_dopplers, 5)
+        chi_t, kap_t = chi_kappa_tables(ps.delay_taps, ps.doppler(), 5)
         assert (chi_t[0, 1], kap_t[0, 1]) == (1.0, 0.0)
 
     def test_stacked_call_equals_per_link_calls(self):
@@ -197,7 +199,7 @@ class TestChiKappa:
         rng = np.random.default_rng(7)
         links = sample_all_paths(np.ones(5), 4, 3, 2, grid, rng)
         delays = links.delay_taps
-        doppler = links.doppler_taps + links.frac_dopplers
+        doppler = links.doppler()
         chi_s, kap_s = chi_kappa_tables(delays, doppler, grid.doppler_bins)
         assert chi_s.shape == kap_s.shape == (5, 4, 4)
         for p in range(5):
@@ -219,13 +221,13 @@ class TestChiKappa:
             assert np.ptp(kaps) < 1e-12
 
 
-def spread_entry(t, path, grid, k, ell, c):
-    """Entry of a dense path operator coupling input bin
-    (k - k_p + c, ell - l_p) into output bin (k, ell): the spreading
-    coefficient alpha of the scalar DD input-output relation at Doppler
-    offset c."""
+def spread_entry(t, delay, doppler_tap, grid, k, ell, c):
+    """Entry of the dense operator of a path with taps (l_p, k_p) coupling
+    input bin (k - k_p + c, ell - l_p) into output bin (k, ell): the
+    spreading coefficient alpha of the scalar DD input-output relation at
+    Doppler offset c."""
     m, n = grid.delay_bins, grid.doppler_bins
-    col = ((k - path.doppler_tap + c) % n) * m + (ell - path.delay_tap) % m
+    col = ((k - doppler_tap + c) % n) * m + (ell - delay) % m
     return t[k * m + ell, col]
 
 
@@ -238,17 +240,15 @@ def dirichlet_power(c, frac, n):
 class TestAlphaCoeff:
     def test_integer_doppler_center_has_unit_magnitude(self):
         grid = OtfsGrid(doppler_bins=20, delay_bins=8)
-        path = make_path(2, 1, 0.0)
-        t = dd_operator(path, grid)
-        assert abs(spread_entry(t, path, grid, k=3, ell=5, c=0)) == \
+        t = dd_operator(*make_path(2, 1, 0.0), grid)
+        assert abs(spread_entry(t, 2, 1, grid, k=3, ell=5, c=0)) == \
             pytest.approx(1.0)
 
     def test_integer_doppler_no_spread(self):
         grid = OtfsGrid(doppler_bins=20, delay_bins=8)
-        path = make_path(2, 1, 0.0)
-        t = dd_operator(path, grid)
+        t = dd_operator(*make_path(2, 1, 0.0), grid)
         for c in (-7, -1, 1, 4, 9):
-            assert abs(spread_entry(t, path, grid, k=3, ell=5, c=c)) == \
+            assert abs(spread_entry(t, 2, 1, grid, k=3, ell=5, c=c)) == \
                 pytest.approx(0.0, abs=1e-12)
 
     def test_fractional_spread_power_near_uniform(self):
@@ -258,9 +258,8 @@ class TestAlphaCoeff:
         # approximately 1/N^2, as the pilot interference constant assumes.
         n = 20
         grid = OtfsGrid(doppler_bins=n, delay_bins=8)
-        path = make_path(2, 1, 0.3)
-        t = dd_operator(path, grid)
-        powers = {c: abs(spread_entry(t, path, grid, k=0, ell=5, c=c)) ** 2
+        t = dd_operator(*make_path(2, 1, 0.3), grid)
+        powers = {c: abs(spread_entry(t, 2, 1, grid, k=0, ell=5, c=c)) ** 2
                   for c in range(-n // 2, n // 2)}
         for c, power in powers.items():
             assert power == pytest.approx(dirichlet_power(c, 0.3, n),
@@ -274,12 +273,11 @@ class TestAlphaCoeff:
         # the coupled entry picks up a phase but keeps the full Dirichlet
         # magnitude.
         grid = OtfsGrid(doppler_bins=8, delay_bins=4)
-        path = make_path(3, 1, 0.25)
-        t = dd_operator(path, grid)
+        t = dd_operator(*make_path(3, 1, 0.25), grid)
         for k in range(8):
             for ell in range(3):
                 for c in range(-4, 4):
-                    power = abs(spread_entry(t, path, grid, k, ell, c)) ** 2
+                    power = abs(spread_entry(t, 3, 1, grid, k, ell, c)) ** 2
                     assert power == pytest.approx(
                         dirichlet_power(c, 0.25, 8), abs=1e-14)
 
