@@ -34,6 +34,11 @@ def _resolve_config(args) -> experiments.ExperimentConfig:
     # replace() re-runs the config's validation on the overridden fields.
     overrides = {"seed": args.seed, "shadowing": args.shadowing,
                  "realizations": args.realizations, "workers": args.workers}
+    for key in ("ap_counts", "user_counts"):  # run-vs-aps flags only
+        overrides[key] = getattr(args, key, None)
+        if overrides[key] == []:
+            flag = "--" + key.replace("_", "-")
+            raise ValueError(f"{flag} needs at least one integer")
     return replace(config, **{key: value for key, value in overrides.items()
                               if value is not None})
 
@@ -68,8 +73,7 @@ def cmd_run_cdf(args) -> int:
 def cmd_run_vs_aps(args) -> int:
     config = _resolve_config(args)
     started = time.time()
-    rows = experiments.run_vs_aps(config, ap_counts=args.ap_counts,
-                                  user_counts=args.user_counts)
+    rows = experiments.run_vs_aps(config)
     data = experiments.sweep_csv_bytes(rows)
     manifest = experiments.write_run(args.out, data, "run-vs-aps", config,
                                      started)

@@ -25,7 +25,6 @@ BOLTZMANN_J_PER_K = 1.381e-23
 NOISE_TEMPERATURE_K = 290.0
 
 _MODE_IDS = {"uncorr": 0, "corr": 1}
-_MODE_NAMES = {"uncorr": "uncorrelated", "corr": "correlated"}
 
 
 def noise_power_w(grid: OtfsGrid, noise_figure_db: float) -> float:
@@ -165,10 +164,12 @@ def realize_user_rates(config: ExperimentConfig, n_aps: int, n_users: int,
     """One network realization: placement, shadowing, path sampling,
     estimation statistics, power control and the per-user closed-form
     rate. Returns (rates, throughputs) arrays of length n_users."""
-    net = replace(config.network, num_aps=n_aps, num_users=n_users,
-                  shadowing_mode=_MODE_NAMES[mode])
+    if mode not in _MODE_IDS:
+        raise ValueError(f"unknown shadowing mode {mode!r}")
+    net = replace(config.network, num_aps=n_aps, num_users=n_users)
     grid, ch = config.grid, config.channel
-    layout = apply_shadowing(place_network(net, rng), net, rng)
+    layout = apply_shadowing(place_network(net, rng), net, rng,
+                             correlated=mode == "corr")
     paths = sample_all_paths(
         layout.beta_pair, ch.n_paths, ch.l_max, ch.k_max, grid, rng,
         fractional=ch.fractional, distinct_delays=ch.distinct_delays)
@@ -200,7 +201,7 @@ def _realization_task(args):
         exc.add_note(f"in realization seed={config.seed} mode={mode} "
                      f"aps={n_aps} users={n_users} index={index}")
         raise
-    return index, rates, tputs
+    return rates, tputs
 
 
 @dataclass
@@ -241,7 +242,7 @@ def run_point(config: ExperimentConfig, n_aps: int, n_users: int,
 
     Realizations use substreams keyed by their index, so the output is
     identical whether they run serially or across worker processes;
-    results are ordered by realization index either way.
+    both return results in realization order.
     """
     tasks = [(config, n_aps, n_users, mode, i)
              for i in range(config.realizations)]
@@ -250,11 +251,10 @@ def run_point(config: ExperimentConfig, n_aps: int, n_users: int,
             results = list(pool.map(_realization_task, tasks, chunksize=4))
     else:
         results = [_realization_task(t) for t in tasks]
-    results.sort(key=lambda item: item[0])
-    realization = np.repeat([i for i, _, _ in results], n_users)
-    user = np.tile(np.arange(n_users), len(results))
-    rate = np.concatenate([r for _, r, _ in results])
-    tput = np.concatenate([t for _, _, t in results])
+    realization = np.repeat(np.arange(config.realizations), n_users)
+    user = np.tile(np.arange(n_users), config.realizations)
+    rate = np.concatenate([r for r, _ in results])
+    tput = np.concatenate([t for _, t in results])
     return CdfTable(mode=mode, n_aps=n_aps, n_users=n_users,
                     realization=realization, user=user, rate=rate,
                     throughput=tput)
@@ -267,19 +267,16 @@ def run_cdf(config: ExperimentConfig) -> list:
             for mode in config.modes]
 
 
-def run_vs_aps(config: ExperimentConfig, ap_counts=None, user_counts=None) -> list:
-    """Mean per-user throughput for each (mode, K_u, M_a) sweep point.
+def run_vs_aps(config: ExperimentConfig) -> list:
+    """Mean per-user throughput for each (mode, K_u, M_a) sweep point of
+    config.user_counts and config.ap_counts; an empty list sweeps only
+    the network's own count.
 
     Returns dict rows ready for CSV emission, ordered by mode, user count
     and AP count.
     """
-    if ap_counts is None:
-        ap_counts = config.ap_counts or [config.network.num_aps]
-    if user_counts is None:
-        user_counts = config.user_counts or [config.network.num_users]
-    ap_counts, user_counts = list(ap_counts), list(user_counts)
-    if not ap_counts or not user_counts:
-        raise ValueError("ap_counts and user_counts must not be empty")
+    ap_counts = config.ap_counts or [config.network.num_aps]
+    user_counts = config.user_counts or [config.network.num_users]
     rows = []
     for mode in config.modes:
         for n_users in user_counts:
@@ -308,30 +305,27 @@ SWEEP_HEADER = ["mode", "n_aps", "n_users", "realizations", "mean_rate_bps_hz",
                 "p5_throughput_mbps"]
 
 
-def cdf_csv_bytes(tables: list) -> bytes:
+def _csv_bytes(header: list, rows) -> bytes:
+    """Header and rows as CSV. The csv module writes a Python float with
+    repr(), which round-trips, but a NumPy scalar as np.float64(...)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CDF_HEADER)
-    for table in tables:
-        for i in range(len(table.throughput)):
-            writer.writerow([table.mode, int(table.realization[i]),
-                             int(table.user[i]), repr(float(table.rate[i])),
-                             repr(float(table.throughput[i] / 1e6))])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue().encode()
+
+
+def cdf_csv_bytes(tables: list) -> bytes:
+    return _csv_bytes(CDF_HEADER, (
+        row for table in tables
+        for row in zip([table.mode] * len(table.throughput),
+                       table.realization.tolist(), table.user.tolist(),
+                       table.rate.tolist(), (table.throughput / 1e6).tolist())))
 
 
 def sweep_csv_bytes(rows: list) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SWEEP_HEADER)
-    for row in rows:
-        writer.writerow([row["mode"], row["n_aps"], row["n_users"],
-                         row["realizations"],
-                         repr(row["mean_rate_bps_hz"]),
-                         repr(row["mean_throughput_mbps"]),
-                         repr(row["median_throughput_mbps"]),
-                         repr(row["p5_throughput_mbps"])])
-    return buf.getvalue().encode()
+    return _csv_bytes(SWEEP_HEADER,
+                      ([row[key] for key in SWEEP_HEADER] for row in rows))
 
 
 def git_blob_sha1(data: bytes) -> str:

@@ -16,9 +16,9 @@ class NetworkConfig:
 
     Distances d0 < d1 bound the three path-loss slopes; the loss constant
     and the slope formula take distances in km. Shadowing is log-normal
-    with standard deviation shadow_std_db, applied beyond d1 only, and can
-    be spatially correlated through two unit-variance fields (one over
-    APs, one over users) mixed with weight ap_mix.
+    with standard deviation shadow_std_db, applied beyond d1 only. Its
+    correlated form mixes two unit-variance fields (one over APs, one
+    over users, decaying over decorr_distance_m) with weight ap_mix.
     """
 
     num_aps: int
@@ -28,7 +28,6 @@ class NetworkConfig:
     d1_m: float = 50.0
     path_loss_const_db: float = 140.7
     shadow_std_db: float = 8.0
-    shadowing_mode: str = "uncorrelated"  # "uncorrelated" | "correlated"
     decorr_distance_m: float = 100.0
     ap_mix: float = 0.5
 
@@ -41,8 +40,6 @@ class NetworkConfig:
             raise ValueError("shadow_std_db must be non-negative")
         if not 0.0 <= self.ap_mix <= 1.0:
             raise ValueError("ap_mix must lie in [0, 1]")
-        if self.shadowing_mode not in ("uncorrelated", "correlated"):
-            raise ValueError(f"unknown shadowing_mode {self.shadowing_mode!r}")
 
     @property
     def side_m(self) -> float:
@@ -110,32 +107,27 @@ def _correlated_field(positions: np.ndarray, side: float, decorr_m: float,
     return v @ (np.sqrt(w) * rng.standard_normal(len(positions)))
 
 
-def shadow_normals(layout: Layout, config: NetworkConfig, seed=None) -> np.ndarray:
-    """Standard-normal shadowing terms z[p, q], correlated across the
-    network when configured."""
-    rng = as_rng(seed)
-    n_aps = layout.ap_positions.shape[0]
-    n_users = layout.user_positions.shape[0]
-    if config.shadowing_mode == "uncorrelated":
-        return rng.standard_normal((n_aps, n_users))
-    a = _correlated_field(layout.ap_positions, config.side_m,
-                          config.decorr_distance_m, rng)
-    b = _correlated_field(layout.user_positions, config.side_m,
-                          config.decorr_distance_m, rng)
-    delta = config.ap_mix
-    return np.sqrt(delta) * a[:, None] + np.sqrt(1.0 - delta) * b[None, :]
-
-
-def apply_shadowing(layout: Layout, config: NetworkConfig, seed=None) -> Layout:
+def apply_shadowing(layout: Layout, config: NetworkConfig, seed=None,
+                    correlated: bool = False) -> Layout:
     """Fill beta_pair = 10^((PL_dB + sigma*z)/10) for every AP-user pair.
 
-    Shadowing is suppressed (z = 0) at distances up to d1, where the
-    deterministic slopes already dominate.
+    z is i.i.d. standard normal, or spatially correlated (see
+    NetworkConfig) when correlated is True, and is zero up to d1, where
+    the deterministic slopes already dominate.
     """
+    rng = as_rng(seed)
     d = wrapped_distance(layout.ap_positions[:, None, :],
                          layout.user_positions[None, :, :], config.side_m)
     pl_db = path_loss_db(d, config)
-    z = shadow_normals(layout, config, seed)
+    if correlated:
+        a = _correlated_field(layout.ap_positions, config.side_m,
+                              config.decorr_distance_m, rng)
+        b = _correlated_field(layout.user_positions, config.side_m,
+                              config.decorr_distance_m, rng)
+        z = (np.sqrt(config.ap_mix) * a[:, None]
+             + np.sqrt(1.0 - config.ap_mix) * b[None, :])
+    else:
+        z = rng.standard_normal(d.shape)
     shadow_db = np.where(d > config.d1_m, config.shadow_std_db * z, 0.0)
     beta = 10.0 ** ((pl_db + shadow_db) / 10.0)
     return Layout(ap_positions=layout.ap_positions.copy(),

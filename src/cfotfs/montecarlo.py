@@ -22,7 +22,7 @@ from .channel import OtfsGrid, PathSet, sample_all_paths
 from .estimation import LinkStats, compute_link_stats, sample_estimate
 from .geometry import NetworkConfig, apply_shadowing, place_network
 from .operators import dd_operator
-from .rng import as_rng, substream
+from .rng import as_int_seed, as_rng, substream
 
 
 @dataclass
@@ -119,8 +119,7 @@ def estimate_terms(instance: ValidationInstance, q: int, r: int, trials: int,
             ops[k, i] = dd_operator(paths.delay_taps[p, k, i],
                                     doppler[p, k, i], grid)
         rows[p] = np.einsum("ic,kjdc->kijd", ops[q, :, r, :].conj(), ops).conj()
-    if not isinstance(seed, (int, np.integer)):
-        seed = int(as_rng(seed).integers(2**63))
+    seed = as_int_seed(seed)
 
     ds_b = np.zeros(BATCHES, dtype=complex)
     bu_b, isi_b, iui_b = np.zeros((3, BATCHES))
@@ -224,8 +223,7 @@ def validate_rate(instance: ValidationInstance, trials: int, seed=None,
     grid = instance.grid
     users = range(instance.stats.n_users) if users is None else users
     bins = _default_bins(grid) if bins is None else list(bins)
-    if not isinstance(seed, (int, np.integer)):
-        seed = int(as_rng(seed).integers(2**63))
+    seed = as_int_seed(seed)
     report = ValidationReport(gate=gate, trials=trials)
     for q in users:
         # The closed form takes the same value at every bin.

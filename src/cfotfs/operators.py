@@ -131,6 +131,9 @@ def verify_operator_identities(paths: PathSet, grid: OtfsGrid,
     IdentityCheckError naming the violated property if any deviation
     exceeds tol. Intended for grids with MN up to about 1024.
     """
+    if paths.delay_taps.ndim != 1:
+        raise ValueError("verify_operator_identities takes one link's (L,) "
+                         f"paths, got shape {paths.delay_taps.shape}")
     m = grid.delay_bins
     mn = grid.size
     mats = np.stack([dd_operator(delay, doppler, grid) for delay, doppler

@@ -12,6 +12,13 @@ def as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def as_int_seed(seed):
+    """An integer seed as given, else one drawn from as_rng(seed)."""
+    if isinstance(seed, (int, np.integer)):
+        return seed
+    return int(as_rng(seed).integers(2**63))
+
+
 def substream(master_seed: int, *key: int) -> np.random.Generator:
     """Independent stream identified by (master_seed, key).
 

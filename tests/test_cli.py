@@ -56,6 +56,50 @@ def test_run_vs_aps_with_flags(tmp_path, capsys):
     assert "M_a=8" in capsys.readouterr().out
 
 
+def test_empty_ap_counts_rejected(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    rc = cli.main(["run-vs-aps", "--realizations", "1", "--ap-counts", ",",
+                   "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cfotfs: error: --ap-counts needs at least one")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run-vs-aps", "--preset", "desk", "--realizations", "2", "--seed", "3",
+     "--ap-counts", "4,8", "--user-counts", "2", "--shadowing", "corr"],
+    ["run-cdf", "--preset", "desk", "--realizations", "2", "--seed", "3",
+     "--shadowing", "corr"],
+])
+def test_manifest_config_replays_the_run(tmp_path, argv):
+    # The manifest records the config the run used, flags included, so
+    # running its config again writes the same bytes.
+    first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+    assert cli.main(argv + ["--out", str(first)]) == 0
+    manifest = json.loads((tmp_path / "first.csv.manifest.json").read_text())
+    assert "shadowing_mode" not in manifest["config"]["network"]
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(manifest["config"]))
+    assert cli.main([argv[0], "--config", str(cfg_path),
+                     "--out", str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes()
+
+
+def test_config_naming_shadowing_mode_rejected(tmp_path, capsys):
+    data = experiments.config_to_dict(experiments.desk_preset())
+    data["network"]["shadowing_mode"] = "correlated"
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(data))
+    rc = cli.main(["run-cdf", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "cdf.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cfotfs: error: unknown network config key")
+    assert "shadowing_mode" in err and len(err.splitlines()) == 1
+
+
 def test_config_file_round_trip(tmp_path):
     cfg = experiments.desk_preset(realizations=2, seed=9)
     cfg_path = tmp_path / "config.json"

@@ -88,6 +88,12 @@ class TestRunCdf:
         cfg = tiny_config(realizations=2, shadowing="both")
         tables = experiments.run_cdf(cfg)
         assert [t.mode for t in tables] == ["uncorr", "corr"]
+        assert not np.array_equal(tables[0].rate, tables[1].rate)
+
+    def test_unknown_mode_named(self):
+        with pytest.raises(ValueError, match="'correlated'"):
+            experiments.realize_user_rates(tiny_config(), 8, 4, "correlated",
+                                           np.random.default_rng(0))
 
     def test_deterministic_bytes(self):
         cfg = tiny_config(realizations=3, shadowing="both")
@@ -129,21 +135,21 @@ class TestRunCdf:
 
 class TestRunVsAps:
     def test_rows_and_user_scaling(self):
-        cfg = tiny_config(realizations=6)
-        rows = experiments.run_vs_aps(cfg, ap_counts=[8], user_counts=[2, 4])
+        cfg = tiny_config(realizations=6, ap_counts=[8], user_counts=[2, 4])
+        rows = experiments.run_vs_aps(cfg)
         assert len(rows) == 2
         by_users = {r["n_users"]: r["mean_throughput_mbps"] for r in rows}
         assert by_users[4] < by_users[2]
 
     def test_more_aps_help(self):
-        cfg = tiny_config(realizations=8)
-        rows = experiments.run_vs_aps(cfg, ap_counts=[2, 12], user_counts=[2])
+        cfg = tiny_config(realizations=8, ap_counts=[2, 12], user_counts=[2])
+        rows = experiments.run_vs_aps(cfg)
         assert rows[1]["mean_throughput_mbps"] > rows[0]["mean_throughput_mbps"]
 
-    def test_empty_ap_counts_rejected(self):
-        cfg = tiny_config(ap_counts=[])
-        with pytest.raises(ValueError):
-            experiments.run_vs_aps(cfg, ap_counts=[], user_counts=[2])
+    def test_empty_counts_sweep_the_network_size(self):
+        cfg = tiny_config(realizations=1, ap_counts=[], user_counts=[])
+        rows = experiments.run_vs_aps(cfg)
+        assert [(r["n_aps"], r["n_users"]) for r in rows] == [(8, 4)]
 
 
 class TestConfigPlumbing:
@@ -210,10 +216,10 @@ class TestOutputs:
     def test_manifest_leaves_csv_bytes_alone(self, tmp_path):
         # The desk preset's seeded CSVs, byte for byte; timings and
         # versions go to the manifest only.
-        cfg = tiny_config(realizations=2, shadowing="both")
+        cfg = tiny_config(realizations=2, shadowing="both", ap_counts=[4, 8],
+                          user_counts=[2])
         cdf = experiments.cdf_csv_bytes(experiments.run_cdf(cfg))
-        sweep = experiments.sweep_csv_bytes(
-            experiments.run_vs_aps(cfg, ap_counts=[4, 8], user_counts=[2]))
+        sweep = experiments.sweep_csv_bytes(experiments.run_vs_aps(cfg))
         for name, data, sha1, realizations in (
                 ("cdf.csv", cdf, "c2e3a9acec4deecc869156e65099f6a91f14fb6b", 4),
                 ("sweep.csv", sweep, "0ec030ab309a006d203bf3de7b57112e46ed90c1", 8)):
@@ -226,8 +232,8 @@ class TestOutputs:
             assert manifest["realizations"] == realizations
 
     def test_sweep_csv_header(self):
-        cfg = tiny_config(realizations=2)
-        rows = experiments.run_vs_aps(cfg, ap_counts=[4], user_counts=[2])
+        cfg = tiny_config(realizations=2, ap_counts=[4], user_counts=[2])
+        rows = experiments.run_vs_aps(cfg)
         data = experiments.sweep_csv_bytes(rows)
         header = data.splitlines()[0].decode().split(",")
         assert header == experiments.SWEEP_HEADER

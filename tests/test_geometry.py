@@ -44,8 +44,6 @@ class TestPlacement:
             make_config(num_aps=0)
         with pytest.raises(ValueError):
             make_config(d0_m=60.0, d1_m=50.0)
-        with pytest.raises(ValueError):
-            make_config(shadowing_mode="diagonal")
 
 
 class TestWrappedDistance:
@@ -129,23 +127,22 @@ class TestShadowing:
     def test_colocated_users_fully_correlated(self):
         # Two users at the same spot see identical user fields, so their
         # shadow terms toward one AP correlate to machine precision.
-        cfg = make_config(num_aps=1, num_users=2,
-                          shadowing_mode="correlated")
+        cfg = make_config(num_aps=1, num_users=2)
         layout = Layout(ap_positions=np.array([[0.0, 0.0]]),
                         user_positions=np.array([[600.0, 200.0],
                                                  [600.0, 200.0]]),
                         beta_pair=np.zeros((1, 2)))
         rng = np.random.default_rng(5)
         draws = np.array([
-            10.0 * np.log10(apply_shadowing(layout, cfg, rng).beta_pair[0])
+            10.0 * np.log10(apply_shadowing(layout, cfg, rng,
+                                            correlated=True).beta_pair[0])
             for _ in range(10_000)
         ])
         corr = np.corrcoef(draws[:, 0], draws[:, 1])[0, 1]
         assert corr >= 1.0 - 1e-6
 
     def test_correlated_mode_unit_variance(self):
-        cfg = make_config(num_aps=2, num_users=2, shadowing_mode="correlated",
-                          shadow_std_db=8.0)
+        cfg = make_config(num_aps=2, num_users=2, shadow_std_db=8.0)
         layout = place_network(cfg, seed=8)
         d = wrapped_distance(layout.ap_positions[:, None, :],
                              layout.user_positions[None, :, :], cfg.side_m)
@@ -154,7 +151,7 @@ class TestShadowing:
         far = d > cfg.d1_m
         samples = []
         for _ in range(4000):
-            beta = apply_shadowing(layout, cfg, rng).beta_pair
+            beta = apply_shadowing(layout, cfg, rng, correlated=True).beta_pair
             samples.append(10.0 * np.log10(beta / pl_lin)[far])
         samples = np.array(samples)
         assert samples.std(axis=0) == pytest.approx(8.0, rel=0.1)

@@ -311,3 +311,9 @@ class TestIdentityChecks:
         ps = make_pathset([1], [0])
         with pytest.raises(IdentityCheckError, match="unitarity"):
             verify_operator_identities(ps, grid, tol=1e-30)
+
+    def test_batched_paths_rejected(self):
+        grid = OtfsGrid(4, 4)
+        ps = sample_all_paths([[1.0, 1.0]], 2, 3, 1, grid, seed=0)
+        with pytest.raises(ValueError, match=r"one link's \(L,\) paths"):
+            verify_operator_identities(ps, grid)
