@@ -132,11 +132,37 @@ _SECTIONS = {"network": NetworkConfig, "grid": OtfsGrid,
              "channel": ChannelParams, "powers": PowerParams}
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# What a JSON config value must be, by its field's annotation (a string:
+# the config modules postpone annotations); the list fields hold AP and
+# user counts.
+_VALUE_CHECKS = {
+    "int": ("an integer", _is_int),
+    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    "bool": ("a boolean", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "list": ("a list of integers",
+             lambda v: isinstance(v, list) and all(map(_is_int, v))),
+}
+
+
 def _from_fields(cls, data: dict, section: str):
-    """cls(**data), naming any key that cls has no field for."""
-    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    """cls(**data), naming any key that cls has no field for and any value
+    of the wrong type."""
+    annotations = {f.name: f.type for f in fields(cls)}
+    unknown = sorted(set(data) - set(annotations))
     if unknown:
         raise ValueError(f"unknown {section} config key(s): {', '.join(unknown)}")
+    prefix = "" if cls is ExperimentConfig else section + "."
+    for key, value in data.items():
+        # Section fields have no entry: they arrive already built.
+        expected, check = _VALUE_CHECKS.get(annotations[key], (None, None))
+        if check is not None and not check(value):
+            raise ValueError(f"config key {prefix}{key} must be {expected}, "
+                             f"got {value!r}")
     return cls(**data)
 
 
@@ -144,6 +170,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     data = dict(data)
     for key, cls in _SECTIONS.items():
         if key in data:
+            if not isinstance(data[key], dict):
+                raise ValueError(f"config key {key} must be an object, "
+                                 f"got {data[key]!r}")
             data[key] = _from_fields(cls, data[key], key)
     return _from_fields(ExperimentConfig, data, "experiment")
 

@@ -18,10 +18,20 @@ path pair in closed form over (..., L) PathSet arrays (every AP of a user
 at once), and the dense per-bin chi_kappa stays as its reference. A path
 enters the dense constructors as two numbers: its integer delay tap and
 its Doppler k+kappa.
+
+dd_operator assembles T from its structure rather than multiplying the
+three MN x MN factors: an integer delay tap is an exact shift of the
+delay coordinate, and the Doppler spreads only along the Doppler axis, so
+T is a scatter of M dense N x N blocks, one per delay column. Each block
+is computed from F_N, the carry of the cyclic shift and the diagonal of D,
+never from the Dirichlet kernel of chi_kappa_tables, so the dense
+operators (and the Monte Carlo oracle built on them) stay an independent
+check of the closed form.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,17 +48,39 @@ def dft_matrix(n: int) -> np.ndarray:
 
 def dd_operator(delay_tap: int, doppler: float, grid: OtfsGrid) -> np.ndarray:
     """Dense MN x MN matrix of one path's action on the DD grid, for a
-    path with integer delay tap l and Doppler k+kappa."""
+    path with integer delay tap l and Doppler k+kappa.
+
+    Built block by block from the definition of T alone. F_N kron I_M
+    leaves the delay coordinate alone, and P^l moves delay column c2 to
+    row (c2 + l) mod M, one Doppler step further when c2 + l >= M. So
+    delay column c2 holds a single N x N block, F_N S_c2 diag(z^(j1*M +
+    c2)) F_N^H over Doppler indices j1, where S_c2 is that carry's cyclic
+    shift, and every other block of the column is zero. This costs
+    O(M N^3 + (MN)^2) instead of two MN x MN products, and it uses only
+    the definition of T, not the closed-form (chi, kappa) algebra it is
+    meant to check. Raises ValueError for a delay tap that is not an
+    integer in [0, M) and for a Doppler that is not finite.
+    """
     m, n = grid.delay_bins, grid.doppler_bins
     mn = m * n
+    if not isinstance(delay_tap, numbers.Integral):
+        raise ValueError(f"delay tap must be an integer, got {delay_tap!r}")
     if not 0 <= delay_tap < m:
         raise ValueError("delay tap outside grid")
-    diag = np.exp(2j * np.pi * doppler * np.arange(mn) / mn)
-    # P^l D^(k+kappa) at once: column j holds diag[j] at row (j + l) mod MN.
-    core = np.zeros((mn, mn), dtype=complex)
-    core[(np.arange(mn) + delay_tap) % mn, np.arange(mn)] = diag
-    f_kron = np.kron(dft_matrix(n), np.eye(m))
-    return f_kron @ core @ f_kron.conj().T
+    if not np.isfinite(doppler):
+        raise ValueError(f"Doppler must be finite, got {doppler!r}")
+    # phases[c2, j1] = z^((k+kappa)(j1*M + c2)): the diagonal of D.
+    phases = np.exp(2j * np.pi * doppler * np.arange(mn) / mn).reshape(n, m).T
+    delays = np.arange(m)
+    carry = delays + delay_tap >= m
+    f = dft_matrix(n)
+    # S_c2 diag(w) maps Doppler index j1 to (j1 + carry) mod N, so the
+    # block's left factor is F_N with its columns rolled by the carry.
+    left = np.where(carry[:, None, None], np.roll(f, -1, axis=1), f)
+    blocks = (left * phases[:, None, :]) @ f.conj().T
+    out = np.zeros((n, m, n, m), dtype=complex)
+    out[:, (delays + delay_tap) % m, :, delays] = blocks
+    return out.reshape(mn, mn)
 
 
 def chi_kappa(path_i: tuple, path_j: tuple, r: int, grid: OtfsGrid):
@@ -129,7 +161,10 @@ def verify_operator_identities(paths: PathSet, grid: OtfsGrid,
     for pairs whose delay taps differ modulo M; and the largest deviation
     of any squared row-sum magnitude of T_i T_j^H from one. Raises
     IdentityCheckError naming the violated property if any deviation
-    exceeds tol. Intended for grids with MN up to about 1024.
+    exceeds tol. Building the operators is cheap; the checks are not:
+    they hold every path's MN x MN operator at once and cost L (MN)^3 for
+    unitarity, so memory bounds the grid. 10 paths at MN = 1024 take
+    about 2.6 s and 370 MB on one BLAS thread.
     """
     if paths.delay_taps.ndim != 1:
         raise ValueError("verify_operator_identities takes one link's (L,) "

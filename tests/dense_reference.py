@@ -1,14 +1,42 @@
-"""Dense references the tests compare the library against: the per-bin
-closed-form SINR built from the dense per-bin chi_kappa, independent of
-the batched coefficient tables the rate module uses, and the Monte Carlo
-terms computed from explicit MN x MN channel matrices."""
+"""Dense references the tests compare the library against: the literal
+path operator F P^l D F^H, the per-bin closed-form SINR built from the
+dense per-bin chi_kappa, independent of the batched coefficient tables the
+rate module uses, and the Monte Carlo terms computed from explicit
+MN x MN channel matrices built from the literal operators."""
 
 import numpy as np
 
 from cfotfs.estimation import sample_estimate
 from cfotfs.montecarlo import BATCHES
-from cfotfs.operators import chi_kappa, dd_operator
+from cfotfs.operators import chi_kappa
 from cfotfs.rng import substream
+
+
+def brute_force_operator(delay, doppler_exp, m, n):
+    """The path operator as the literal product (F_N kron I_M) P^l
+    D^(k+kappa) (F_N^H kron I_M), each factor built by explicit loops:
+    unitary DFT, Kronecker product, cyclic shift and diagonal powers
+    multiplied elementwise."""
+    mn = m * n
+    f = np.zeros((n, n), dtype=complex)
+    for a in range(n):
+        for b in range(n):
+            f[a, b] = np.exp(-2j * np.pi * a * b / n) / np.sqrt(n)
+    kron = np.zeros((mn, mn), dtype=complex)
+    for a in range(n):
+        for b in range(n):
+            for c in range(m):
+                kron[a * m + c, b * m + c] = f[a, b]
+    perm = np.zeros((mn, mn), dtype=complex)
+    for j in range(mn):
+        perm[(j + 1) % mn, j] = 1.0
+    perm_pow = np.eye(mn, dtype=complex)
+    for _ in range(delay):
+        perm_pow = perm @ perm_pow
+    delta = np.zeros((mn, mn), dtype=complex)
+    for j in range(mn):
+        delta[j, j] = np.exp(2j * np.pi * doppler_exp * j / mn)
+    return kron @ perm_pow @ delta @ kron.conj().T
 
 
 def per_bin_sinr(q, stats, pc, pathsets, rho_d, grid):
@@ -37,11 +65,12 @@ def per_bin_sinr(q, stats, pc, pathsets, rho_d, grid):
 def explicit_terms(instance, q, r, trials, seed):
     """The four SINR terms of user q at bin r and their batch-means
     standard errors, from explicit channel matrices: per trial,
-    H = sum_i h_i T_i for every link, and row r of the true H_pq times
-    every estimated Hhat_pq'^H. Draws through ``sample_estimate`` in the
-    oracle's order (batch, AP, user), so an integer seed reproduces
-    ``montecarlo.estimate_terms`` draw for draw. Returns (ds, ds_se, bu,
-    bu_se, isi, isi_se, iui, iui_se)."""
+    H = sum_i h_i T_i for every link, each T the literal product of
+    ``brute_force_operator`` (never ``dd_operator``), and row r of the
+    true H_pq times every estimated Hhat_pq'^H. Draws through
+    ``sample_estimate`` in the oracle's order (batch, AP, user), so an
+    integer seed reproduces ``montecarlo.estimate_terms`` draw for draw.
+    Returns (ds, ds_se, bu, bu_se, isi, isi_se, iui, iui_se)."""
     grid, stats, pc = instance.grid, instance.stats, instance.pc
     paths = instance.pathsets
     n_aps, n_users, n_paths = paths.delay_taps.shape
@@ -50,7 +79,9 @@ def explicit_terms(instance, q, r, trials, seed):
                    dtype=complex)
     doppler = paths.doppler()
     for index in np.ndindex(n_aps, n_users, n_paths):
-        ops[index] = dd_operator(paths.delay_taps[index], doppler[index], grid)
+        ops[index] = brute_force_operator(paths.delay_taps[index],
+                                          doppler[index], grid.delay_bins,
+                                          grid.doppler_bins)
     ds_b = np.zeros(BATCHES, dtype=complex)
     bu_b, isi_b, iui_b = np.zeros((3, BATCHES))
     for b in range(BATCHES):

@@ -125,6 +125,30 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "worker" in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("section, key, value, message", [
+    (None, "ap_counts", 4, "config key ap_counts must be a list of integers"),
+    (None, "realizations", "2", "config key realizations must be an integer"),
+    ("grid", "doppler_bins", 4.5,
+     "config key grid.doppler_bins must be an integer"),
+    (None, "grid", 5, "config key grid must be an object"),
+], ids=["ap_counts", "realizations", "doppler_bins", "grid"])
+def test_config_value_of_wrong_type_rejected(tmp_path, capsys, section, key,
+                                             value, message):
+    # A desk config written by config_to_dict with one value's type changed.
+    data = experiments.config_to_dict(experiments.desk_preset())
+    (data[section] if section else data)[key] = value
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(data))
+    out = tmp_path / "sweep.csv"
+    rc = cli.main(["run-vs-aps", "--config", str(cfg_path), "--realizations",
+                   "1", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cfotfs: error: {message}")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags, field", [(["--seed", "-1"], "seed"),
                                           (["--workers", "0"], "workers")])
 def test_bad_override_rejected_before_running(tmp_path, capsys, flags, field):
@@ -173,7 +197,7 @@ def test_validate_report_bytes(tmp_path):
     assert cli.main(["validate", "--trials", "3000", "--instances", "1",
                      "--seed", "2", "--out", str(out)]) == 0
     assert hashlib.sha1(out.read_bytes()).hexdigest() == \
-        "6b88f31f69c7ac30dc85862e2b34fb421ab303fc"
+        "3c44af8d60257566af49b3bb2a0c36ddd257a8d2"
 
 
 def test_validate_failure_exits_nonzero(tmp_path, capsys):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from dense_reference import brute_force_operator
+
 from cfotfs.channel import OtfsGrid, PathSet, sample_all_paths
 from cfotfs.exceptions import IdentityCheckError
 from cfotfs.operators import (chi_kappa, chi_kappa_tables, dd_operator,
@@ -21,31 +23,6 @@ def make_pathset(delays, dopplers, fracs=None):
                    frac_dopplers=fracs, variances=[1.0] * n, gains=[1.0] * n)
 
 
-def brute_force_operator(delay, doppler_exp, m, n):
-    """Independent construction by explicit loops: unitary DFT, Kronecker
-    product, cyclic shift and diagonal powers multiplied elementwise."""
-    mn = m * n
-    f = np.zeros((n, n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            f[a, b] = np.exp(-2j * np.pi * a * b / n) / np.sqrt(n)
-    kron = np.zeros((mn, mn), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            for c in range(m):
-                kron[a * m + c, b * m + c] = f[a, b]
-    perm = np.zeros((mn, mn), dtype=complex)
-    for j in range(mn):
-        perm[(j + 1) % mn, j] = 1.0
-    perm_pow = np.eye(mn, dtype=complex)
-    for _ in range(delay):
-        perm_pow = perm @ perm_pow
-    delta = np.zeros((mn, mn), dtype=complex)
-    for j in range(mn):
-        delta[j, j] = np.exp(2j * np.pi * doppler_exp * j / mn)
-    return kron @ perm_pow @ delta @ kron.conj().T
-
-
 class TestDdOperator:
     def test_zero_taps_give_identity(self):
         grid = OtfsGrid(doppler_bins=4, delay_bins=4)
@@ -63,6 +40,28 @@ class TestDdOperator:
         t = dd_operator(*make_path(2, -1, 0.37), grid)
         ref = brute_force_operator(2, -1 + 0.37, 3, 4)
         np.testing.assert_allclose(t, ref, atol=1e-12)
+
+    @pytest.mark.parametrize("doppler", [0.0, 1.0, -2.7, 0.49])
+    @pytest.mark.parametrize("n, m", [(1, 4), (4, 1), (3, 5), (4, 3),
+                                      (8, 16)])
+    def test_matches_literal_product_at_every_tap(self, n, m, doppler):
+        # Every delay tap, so the taps whose shift carries a Doppler step
+        # past the last delay bin are covered.
+        grid = OtfsGrid(doppler_bins=n, delay_bins=m)
+        for delay in range(m):
+            np.testing.assert_allclose(
+                dd_operator(delay, doppler, grid),
+                brute_force_operator(delay, doppler, m, n), rtol=0,
+                atol=1e-12, err_msg=f"delay tap {delay}")
+
+    def test_non_integer_delay_tap_rejected(self):
+        with pytest.raises(ValueError, match="delay tap must be an integer"):
+            dd_operator(1.5, 0.0, OtfsGrid(4, 8))
+
+    @pytest.mark.parametrize("doppler", [np.nan, np.inf, -np.inf])
+    def test_non_finite_doppler_rejected(self, doppler):
+        with pytest.raises(ValueError, match="Doppler must be finite"):
+            dd_operator(1, doppler, OtfsGrid(4, 8))
 
     @settings(max_examples=40, deadline=None)
     @given(delay=st.integers(0, 3), doppler=st.integers(-2, 1),
