@@ -60,7 +60,8 @@ def cmd_run_cdf(args) -> int:
     started = time.time()
     tables = experiments.run_cdf(config)
     data = experiments.cdf_csv_bytes(tables)
-    manifest = experiments.write_run(args.out, data, "run-cdf", config, started)
+    manifest = experiments.write_run(args.out, data, "run-cdf", config, started,
+                                     config.realizations * len(tables))
     for table in tables:
         median, p5 = table.summary()
         print(f"{table.mode}: {len(table.throughput)} samples, "
@@ -76,7 +77,7 @@ def cmd_run_vs_aps(args) -> int:
     rows = experiments.run_vs_aps(config)
     data = experiments.sweep_csv_bytes(rows)
     manifest = experiments.write_run(args.out, data, "run-vs-aps", config,
-                                     started)
+                                     started, config.realizations * len(rows))
     for row in rows:
         print(f"{row['mode']} M_a={row['n_aps']} K_u={row['n_users']}: "
               f"mean {row['mean_throughput_mbps']:.3f} Mbit/s")

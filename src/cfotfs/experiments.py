@@ -365,23 +365,14 @@ def git_blob_sha1(data: bytes) -> str:
     return h.hexdigest()
 
 
-def _realization_count(csv_data: bytes) -> int:
-    """Network realizations behind a CDF or sweep CSV: distinct (mode,
-    realization) pairs of a CDF, the sum of a sweep's realizations column."""
-    rows = list(csv.DictReader(io.StringIO(csv_data.decode())))
-    if rows and "realizations" in rows[0]:
-        return sum(int(row["realizations"]) for row in rows)
-    return len({(row["mode"], row["realization"]) for row in rows})
-
-
 def write_run(out_path, csv_data: bytes, command: str,
-              config: ExperimentConfig, started: float) -> str:
+              config: ExperimentConfig, started: float,
+              realizations: int) -> str:
     """Write the CSV and its JSON run manifest; returns the manifest path."""
     out_path = str(out_path)
     with open(out_path, "wb") as fh:
         fh.write(csv_data)
     wall_time_s = time.time() - started
-    realizations = _realization_count(csv_data)
     manifest = {
         "command": command,
         "config": config_to_dict(config),

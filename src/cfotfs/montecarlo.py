@@ -82,9 +82,13 @@ class TermEstimates:
     iui_se: float
     trials: int
 
+    @property
+    def interference(self) -> float:
+        return self.bu_var + self.isi_power + self.iui_power
+
     def empirical_sinr(self, rho_d: float) -> float:
-        denom = self.bu_var + self.isi_power + self.iui_power + 1.0 / rho_d
-        return float(abs(self.ds) ** 2 / denom)
+        return float(rate_mod.assemble_sinr(abs(self.ds), self.interference,
+                                            rho_d))
 
 
 def estimate_terms(instance: ValidationInstance, q: int, r: int, trials: int,
@@ -105,8 +109,8 @@ def estimate_terms(instance: ValidationInstance, q: int, r: int, trials: int,
     """
     grid = instance.grid
     stats, pc, paths = instance.stats, instance.pc, instance.pathsets
-    if not 0 <= r < grid.size:
-        raise ValueError("bin index outside grid")
+    rate_mod.check_index("user", q, stats.n_users)
+    rate_mod.check_index("bin", r, grid.size)
     per_batch = trials // BATCHES
     if per_batch < 1:
         raise ValueError("trials must be at least the number of batches")
@@ -241,13 +245,13 @@ def validate_rate(instance: ValidationInstance, trials: int, seed=None,
             q, 0, instance.stats, instance.pc, instance.pathsets, grid)
         sinr_cf = float(rate_mod.assemble_sinr(
             ds_cf, bu_cf + isi_cf + iui_cf, instance.rho_d))
+        closed = {"ds": ds_cf, "bu": bu_cf, "isi": isi_cf, "iui": iui_cf}
         emp_sinrs = []
         noise_scales = []
         for r in bins:
             est = estimate_terms(instance, q, r, trials,
                                  seed=seed + 7919 * q + 104729 * r)
             sinr_emp = est.empirical_sinr(instance.rho_d)
-            closed = {"ds": ds_cf, "bu": bu_cf, "isi": isi_cf, "iui": iui_cf}
             empirical = {"ds": est.ds.real, "bu": est.bu_var,
                          "isi": est.isi_power, "iui": est.iui_power}
             errors = {"ds": est.ds_se, "bu": est.bu_se,
@@ -264,10 +268,10 @@ def validate_rate(instance: ValidationInstance, trials: int, seed=None,
                 terms_empirical=empirical, term_std_errors=errors,
                 terms_within_3se=within))
             emp_sinrs.append(sinr_emp)
-            denom = est.bu_var + est.isi_power + est.iui_power + 1.0 / instance.rho_d
             se_den = np.sqrt(est.bu_se**2 + est.isi_se**2 + est.iui_se**2)
-            noise_scales.append(sinr_emp * (2 * est.ds_se / max(abs(est.ds), 1e-300)
-                                            + se_den / denom))
+            noise_scales.append(sinr_emp * (
+                2 * est.ds_se / max(abs(est.ds), 1e-300)
+                + se_den / (est.interference + 1.0 / instance.rho_d)))
         spread = max(emp_sinrs) - min(emp_sinrs)
         report.bin_dependence[q] = bool(spread > 6.0 * max(noise_scales))
     return report

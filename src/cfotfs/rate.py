@@ -55,37 +55,31 @@ class RateReport:
     throughput_bps: float
 
 
-def _signal_and_interuser(q: int, stats: LinkStats, pc: PowerControl):
-    """Desired-signal mean of user q and the bin-independent power that
-    the other users' precoders deliver to it, both normalized by the
-    downlink SNR."""
-    eta_q = pc.eta[:, q]
-    ds = float(np.sum(np.sqrt(eta_q)[:, None] * stats.gamma[:, q, :]))
-    # Other users' precoders: eta' * (sum_i beta_pq,i) * (sum_j gamma_pq',j).
-    gamma_sums = stats.gamma.sum(axis=2)  # (P, Q)
-    others = np.einsum("pq,pq->p", pc.eta, gamma_sums) - eta_q * gamma_sums[:, q]
-    iui = float(np.sum(stats.beta[:, q, :].sum(axis=1) * others))
-    return ds, iui
+def check_index(kind: str, index: int, size: int) -> None:
+    """Raise ValueError naming a user or bin index outside [0, size)."""
+    if not 0 <= index < size:
+        raise ValueError(f"{kind} index {index} outside 0..{size - 1}")
 
 
-def _user_terms(q: int, stats: LinkStats, pc: PowerControl,
-                pathsets: PathSet, grid: OtfsGrid):
-    """SINR building blocks for user q.
+def _user_terms(q: int, stats: LinkStats, pc: PowerControl, chi, kappa):
+    """SINR building blocks of user q, given the (P, L, L) coefficient
+    tables chi and kappa of its links; the only code that forms them.
 
     Returns (ds, bu, isi, iui): the desired-signal mean, the
     beamforming-uncertainty and inter-symbol interference powers, and the
     inter-user power, all normalized by the downlink SNR. None depends on
-    the DD bin. One coefficient call covers every AP of the user.
+    the DD bin.
     """
-    links = np.s_[:, q]
-    chi, kappa = chi_kappa_tables(pathsets.delay_taps[links],
-                                  pathsets.doppler(links), grid.doppler_bins)
     eta_q = pc.eta[:, q]
     gamma_q = stats.gamma[:, q, :]
     beta_q = stats.beta[:, q, :]
     bu = float(np.einsum("p,pi,pij,pj->", eta_q, beta_q, chi, gamma_q))
     isi = float(np.einsum("p,pi,pij,pj->", eta_q, beta_q, kappa, gamma_q))
-    ds, iui = _signal_and_interuser(q, stats, pc)
+    ds = float(np.sum(np.sqrt(eta_q)[:, None] * gamma_q))
+    # Other users' precoders: eta' * (sum_i beta_pq,i) * (sum_j gamma_pq',j).
+    gamma_sums = stats.gamma.sum(axis=2)  # (P, Q)
+    others = np.einsum("pq,pq->p", pc.eta, gamma_sums) - eta_q * gamma_sums[:, q]
+    iui = float(np.sum(beta_q.sum(axis=1) * others))
     return ds, bu, isi, iui
 
 
@@ -99,14 +93,19 @@ def closed_form_terms(q: int, r: int, stats: LinkStats, pc: PowerControl,
                       pathsets: PathSet, grid: OtfsGrid):
     """The four SINR terms of user q at bin r (desired-signal mean,
     beamforming-uncertainty variance, inter-symbol and inter-user
-    interference powers), normalized by the downlink SNR. Used by the
-    Monte Carlo validator."""
-    if not 0 <= r < grid.size:
-        raise ValueError("bin index outside grid")
-    return _user_terms(q, stats, pc, pathsets, grid)
+    interference powers), normalized by the downlink SNR. One coefficient
+    call covers every AP of the user. Used by the Monte Carlo validator."""
+    check_index("bin", r, grid.size)
+    check_index("user", q, stats.n_users)
+    links = np.s_[:, q]
+    chi, kappa = chi_kappa_tables(pathsets.delay_taps[links],
+                                  pathsets.doppler(links), grid.doppler_bins)
+    return _user_terms(q, stats, pc, chi, kappa)
 
 
-def _report(q: int, sinr: float, grid: OtfsGrid) -> RateReport:
+def _report(q: int, terms, rho_d: float, grid: OtfsGrid) -> RateReport:
+    ds, bu, isi, iui = terms
+    sinr = assemble_sinr(ds, bu + isi + iui, rho_d)
     rate = float(np.log2(1.0 + sinr))
     return RateReport(user=q, sinr=float(sinr), rate_bps_hz=rate,
                       throughput_bps=rate * grid.bandwidth_hz)
@@ -116,25 +115,25 @@ def achievable_rate(q: int, stats: LinkStats, pc: PowerControl,
                     pathsets: PathSet, rho_d: float, grid: OtfsGrid) -> RateReport:
     """Per-user achievable rate log2(1 + SINR); the SINR is the same at
     every DD bin, so this is also the mean over all MN bins."""
-    ds, bu, isi, iui = _user_terms(q, stats, pc, pathsets, grid)
-    return _report(q, assemble_sinr(ds, bu + isi + iui, rho_d), grid)
+    terms = closed_form_terms(q, 0, stats, pc, pathsets, grid)
+    return _report(q, terms, rho_d, grid)
 
 
 def rate_distinct_delays(q: int, stats: LinkStats, pc: PowerControl,
                          pathsets: PathSet, rho_d: float, grid: OtfsGrid) -> RateReport:
     """Fast path for links whose delay taps are pairwise distinct.
 
-    Cross-path products then contribute no diagonal power and exactly unit
-    row-sum power, so the SINR loses its bin dependence and needs no
-    coefficient computation. Raises DistinctDelayError naming the first
-    link of user q that repeats a delay tap.
+    Every cross-path pair then has (chi, kappa) = (0, 1) and every path
+    paired with itself (1, 0): user q's tables are the constants (I, 1 - I)
+    at every AP, with no coefficient computation. Raises DistinctDelayError
+    naming the first link of user q that repeats a delay tap.
     """
+    check_index("user", q, stats.n_users)
     taps = np.sort(pathsets.delay_taps[:, q], axis=1)
     repeats = np.any(taps[:, 1:] == taps[:, :-1], axis=1)
     if repeats.any():
         raise DistinctDelayError(
             f"link (ap={np.argmax(repeats)}, user={q}) repeats a delay tap")
-    ds, iui = _signal_and_interuser(q, stats, pc)
-    intra = float(np.sum(pc.eta[:, q] * stats.beta[:, q, :].sum(axis=1)
-                         * stats.gamma[:, q, :].sum(axis=1)))
-    return _report(q, assemble_sinr(ds, intra + iui, rho_d), grid)
+    n_aps, n_paths = taps.shape
+    eye = np.broadcast_to(np.eye(n_paths), (n_aps, n_paths, n_paths))
+    return _report(q, _user_terms(q, stats, pc, eye, 1.0 - eye), rho_d, grid)

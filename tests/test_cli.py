@@ -31,6 +31,7 @@ def test_run_cdf_writes_csv_and_manifest(tmp_path, capsys):
     assert manifest["content_sha1"] == experiments.git_blob_sha1(
         out.read_bytes())
     assert manifest["config"]["seed"] == 11
+    assert manifest["realizations"] == 2
     assert "median" in capsys.readouterr().out
 
 
@@ -54,6 +55,8 @@ def test_run_vs_aps_with_flags(tmp_path, capsys):
     assert lines[0].split(",") == experiments.SWEEP_HEADER
     assert len(lines) == 3
     assert "M_a=8" in capsys.readouterr().out
+    manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+    assert manifest["realizations"] == 2 * 2  # AP counts * realizations
 
 
 def test_empty_ap_counts_rejected(tmp_path, capsys):
@@ -197,7 +200,7 @@ def test_validate_report_bytes(tmp_path):
     assert cli.main(["validate", "--trials", "3000", "--instances", "1",
                      "--seed", "2", "--out", str(out)]) == 0
     assert hashlib.sha1(out.read_bytes()).hexdigest() == \
-        "3c44af8d60257566af49b3bb2a0c36ddd257a8d2"
+        "dc7acdca1c17b3664704aaf802328ec8e3585aa9"
 
 
 def test_validate_failure_exits_nonzero(tmp_path, capsys):

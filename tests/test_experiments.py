@@ -198,7 +198,8 @@ class TestOutputs:
         tables = experiments.run_cdf(cfg)
         data = experiments.cdf_csv_bytes(tables)
         out = tmp_path / "cdf.csv"
-        manifest_path = experiments.write_run(out, data, "run-cdf", cfg, 0.0)
+        manifest_path = experiments.write_run(
+            out, data, "run-cdf", cfg, 0.0, cfg.realizations)
         assert out.read_bytes() == data
         manifest = json.loads((tmp_path / "cdf.csv.manifest.json").read_text())
         assert manifest_path.endswith("cdf.csv.manifest.json")
@@ -225,7 +226,7 @@ class TestOutputs:
                 ("sweep.csv", sweep, "0ec030ab309a006d203bf3de7b57112e46ed90c1", 8)):
             out = tmp_path / name
             manifest_path = experiments.write_run(out, data, "run", cfg,
-                                                  time.time())
+                                                  time.time(), realizations)
             manifest = json.loads(open(manifest_path).read())
             assert out.read_bytes() == data
             assert manifest["content_sha1"] == sha1

@@ -108,6 +108,12 @@ class TestEstimateTerms:
         assert a.ds == b.ds and a.bu_var == b.bu_var
         assert a.isi_power == b.isi_power and a.iui_power == b.iui_power
 
+    def test_user_outside_network_rejected(self):
+        inst = desk_instance(2)
+        for q in (-1, inst.stats.n_users):
+            with pytest.raises(ValueError, match=f"user index {q} outside"):
+                estimate_terms(inst, q=q, r=0, trials=400, seed=9)
+
     def test_generator_seed(self):
         inst = desk_instance(2)
         a = estimate_terms(inst, q=0, r=2, trials=400,
@@ -168,6 +174,11 @@ class TestValidateRate:
                               seed=np.random.default_rng(4)) for _ in range(2))
         assert a.to_dict() == b.to_dict()
         assert len(a.checks) == 2
+
+    def test_user_outside_network_rejected(self):
+        inst = desk_instance(3)
+        with pytest.raises(ValueError, match="user index -1 outside"):
+            validate_rate(inst, trials=500, seed=1, bins=[0], users=[-1])
 
     def test_interference_limited_regime(self):
         # Very large downlink power: SINR saturates at the interference

@@ -3,7 +3,7 @@ import pytest
 
 from dense_reference import per_bin_sinr
 
-from cfotfs import experiments, montecarlo, rate
+from cfotfs import experiments, montecarlo, operators, rate
 from cfotfs.channel import OtfsGrid, PathSet
 from cfotfs.estimation import LinkStats
 from cfotfs.exceptions import DistinctDelayError, PowerControlError
@@ -218,6 +218,26 @@ class TestDistinctDelayFastPath:
         with pytest.raises(DistinctDelayError, match=r"ap=1, user=1\)"):
             rate_distinct_delays(1, stats, pc, bad, 1.0, grid)
 
+    def test_constant_tables_are_the_general_tables(self, monkeypatch):
+        # On distinct taps the general coefficient tables are exactly the
+        # fast path's (I, 1 - I), and the fast path never computes them.
+        calls = []
+        monkeypatch.setattr(rate, "chi_kappa_tables",
+                            lambda *args: calls.append(args))
+        for seed in range(4):
+            inst = random_instance(seed, distinct=True, n_paths=3, n_aps=3)
+            paths = inst.pathsets
+            chi, kappa = operators.chi_kappa_tables(
+                paths.delay_taps, paths.doppler(), inst.grid.doppler_bins)
+            eye = np.eye(paths.n_paths)
+            assert np.array_equal(chi, np.broadcast_to(eye, chi.shape))
+            assert np.array_equal(kappa, np.broadcast_to(1.0 - eye,
+                                                         kappa.shape))
+            for q in range(inst.stats.n_users):
+                rate_distinct_delays(q, inst.stats, inst.pc, paths,
+                                     inst.rho_d, inst.grid)
+        assert calls == []
+
     def test_single_user_has_no_interuser_term(self):
         # With one user the denominator only carries the intra-link part.
         grid = OtfsGrid(doppler_bins=2, delay_bins=4)
@@ -234,6 +254,39 @@ class TestDistinctDelayFastPath:
         ds = np.sqrt(eta) * gamma.sum()
         den = rho_d * eta * beta.sum() * gamma.sum() + 1.0
         assert report.sinr == pytest.approx(rho_d * ds**2 / den, rel=1e-12)
+
+
+class TestUserIndex:
+    """Every rate entry point names a user index outside [0, Q)."""
+
+    def test_closed_form_terms(self):
+        inst = random_instance(2)
+        for q in (-1, inst.stats.n_users):
+            with pytest.raises(ValueError, match=f"user index {q} outside"):
+                closed_form_terms(q, 0, inst.stats, inst.pc, inst.pathsets,
+                                  inst.grid)
+
+    def test_achievable_rate(self):
+        inst = random_instance(2)
+        for q in (-1, inst.stats.n_users):
+            with pytest.raises(ValueError, match=f"user index {q} outside"):
+                achievable_rate(q, inst.stats, inst.pc, inst.pathsets,
+                                inst.rho_d, inst.grid)
+
+    def test_rate_distinct_delays(self):
+        # The last user repeats a delay tap, so user -1 must be rejected
+        # as an index before its taps are read.
+        grid = OtfsGrid(doppler_bins=2, delay_bins=4)
+        delays = np.array([[[0, 1], [2, 2]]])
+        shape = delays.shape
+        paths = PathSet(delay_taps=delays, doppler_taps=np.zeros(shape),
+                        frac_dopplers=np.zeros(shape),
+                        variances=np.ones(shape), gains=np.ones(shape))
+        stats = make_stats(np.ones(shape), np.full(shape, 0.5))
+        pc = equal_power_control(stats)
+        for q in (-1, 2):
+            with pytest.raises(ValueError, match=f"user index {q} outside"):
+                rate_distinct_delays(q, stats, pc, paths, 1.0, grid)
 
 
 class TestThroughput:
