@@ -102,6 +102,14 @@ def compute_link_stats(beta_paths: np.ndarray, k_max: int, k_hat: int,
                      rho_p=rho_p, rho_u=rho_u)
 
 
+def check_estimate_variances(beta, gamma) -> None:
+    """Raise EstimateStatisticsError unless 0 <= gamma <= beta (to 1e-12
+    relative) everywhere."""
+    if np.any(gamma < 0) or np.any(gamma > beta * (1 + 1e-12)):
+        raise EstimateStatisticsError(
+            "estimate variance must satisfy 0 <= gamma <= beta")
+
+
 def sample_estimate(beta, gamma, seed=None, size=None):
     """Draw a (true gain, estimate) pair consistent with MMSE statistics.
 
@@ -111,9 +119,7 @@ def sample_estimate(beta, gamma, seed=None, size=None):
     """
     beta = np.asarray(beta, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
-    if np.any(gamma < 0) or np.any(gamma > beta * (1 + 1e-12)):
-        raise EstimateStatisticsError(
-            "estimate variance must satisfy 0 <= gamma <= beta")
+    check_estimate_variances(beta, gamma)
     rng = as_rng(seed)
     h_hat = sample_cn(rng, gamma, size)
     err = sample_cn(rng, np.maximum(beta - gamma, 0.0), size)

@@ -5,10 +5,12 @@ and estimation errors trial by trial, and accumulates the four
 received-signal terms whose closed forms the rate module evaluates:
 desired-signal mean, precoding gain uncertainty, inter-symbol and
 inter-user interference. Only row r of each channel product enters them,
-so the oracle precomputes the row products T_pq,i[r, :] T_pq',j^H from the
-dense operators and combines them with each trial's gains; it never forms
-a channel matrix, and it draws the gains in the same order (batch, AP,
-user) as a computation with explicit channel matrices would.
+so once per call the oracle builds the row products T_pq,i[r, :] T_pq',j^H
+from the dense operators, holding one link's operators at a time, and
+reduces each user's to a Gram matrix; a trial then costs O((P L^2)^2) per
+user, whatever the grid size. It never forms a channel matrix, and each
+batch draws all its gains with one generator call, in the same order
+(AP, user) as a computation with explicit channel matrices would.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ import numpy as np
 
 from . import rate as rate_mod
 from .channel import OtfsGrid, PathSet, sample_all_paths
-from .estimation import LinkStats, compute_link_stats, sample_estimate
+from .estimation import LinkStats, check_estimate_variances, compute_link_stats
 from .geometry import NetworkConfig, apply_shadowing, place_network
 from .operators import dd_operator
-from .rng import as_int_seed, as_rng, substream
+from .rng import as_int_seed, as_rng, cn_from_normals, substream
 
 
 @dataclass
@@ -96,62 +98,70 @@ def estimate_terms(instance: ValidationInstance, q: int, r: int, trials: int,
     """Estimate the four SINR terms of user q at bin r by simulation.
 
     The precoding for user q' reaches user q at bin r as the row
-    sum_p sqrt(eta_pq') sum_ij h_pq,i conj(hhat_pq',j) T_pq,i[r, :] T_pq',j^H.
-    The row products are built once per call, one AP's dense operators at
-    a time, so a trial costs O(L^2 MN) per link. The contraction path of
-    the per-batch einsum that combines them with the gains is also planned
-    once per call and reused by every batch. Per trial, every link
-    draws a consistent (gain, estimate) pair through the orthogonal MMSE
-    decomposition, AP by AP and user by user. Each batch of trials draws
-    from its own substream, so the estimates do not depend on execution
-    order. An integer seed keys the substreams directly; a Generator (or
-    None) draws that key.
+    g_q' = c_q' R_q', with per-trial coefficients
+    c_q'[(p, i, j)] = sqrt(eta_pq') h_pq,i conj(hhat_pq',j) and row
+    products R_q'[(p, i, j), :] = T_pq,i[r, :] T_pq',j^H. Once per call,
+    the row products are built holding one link's dense operators at a
+    time (user q's link first, for its bin-r rows), and each user's Gram
+    matrix R_q' R_q'^H is formed. A trial's bin-r sample is then
+    c_q R_q[:, r] and its row energy sum_d |g_q',d|^2 is
+    c_q' R_q' R_q'^H c_q'^H: O((P L^2)^2) per user and trial, whatever
+    the grid. Each batch of trials draws from its own substream with one
+    standard-normal call whose (AP, user) blocks hold the estimate's real
+    and imaginary parts, then the error's: the stream of per-link
+    sample_estimate calls in (AP, user) order. So the estimates do not
+    depend on execution order. An integer seed keys the substreams
+    directly; a Generator (or None) draws that key. Raises ValueError for
+    fewer than 2 * BATCHES trials, since each batch needs a sample
+    variance, and EstimateStatisticsError unless 0 <= gamma <= beta.
     """
     grid = instance.grid
     stats, pc, paths = instance.stats, instance.pc, instance.pathsets
     rate_mod.check_index("user", q, stats.n_users)
     rate_mod.check_index("bin", r, grid.size)
+    if trials < 2 * BATCHES:
+        raise ValueError(f"trials must be at least {2 * BATCHES} (two per "
+                         f"batch), got {trials}")
+    check_estimate_variances(stats.beta, stats.gamma)
     per_batch = trials // BATCHES
-    if per_batch < 1:
-        raise ValueError("trials must be at least the number of batches")
     n_aps, n_users, n_paths = paths.delay_taps.shape
 
-    # rows[p, q', i, j] = T_pq,i[r, :] T_pq',j^H, one AP's operators at a time.
-    rows = np.empty((n_aps, n_users, n_paths, n_paths, grid.size), dtype=complex)
-    ops = np.empty((n_users, n_paths, grid.size, grid.size), dtype=complex)
+    # rows[q', p, i, j] = T_pq,i[r, :] T_pq',j^H, one link's operators at a time.
+    rows = np.empty((n_users, n_aps, n_paths, n_paths, grid.size), dtype=complex)
+    ops = np.empty((n_paths, grid.size, grid.size), dtype=complex)
     doppler = paths.doppler()
     for p in range(n_aps):
-        for k, i in np.ndindex(n_users, n_paths):
-            ops[k, i] = dd_operator(paths.delay_taps[p, k, i],
-                                    doppler[p, k, i], grid)
-        rows[p] = np.einsum("ic,kjdc->kijd", ops[q, :, r, :].conj(), ops).conj()
+        for k in [q] + [k for k in range(n_users) if k != q]:
+            for i in range(n_paths):
+                ops[i] = dd_operator(paths.delay_taps[p, k, i],
+                                     doppler[p, k, i], grid)
+            if k == q:
+                row_r = ops[:, r, :].conj()
+            rows[k, p] = (row_r @ ops.reshape(-1, grid.size).T).reshape(
+                n_paths, n_paths, grid.size).conj()
+    rows = rows.reshape(n_users, -1, grid.size)
+    gram = rows @ rows.conj().transpose(0, 2, 1)
+    column = rows[q, :, r]
     seed = as_int_seed(seed)
-    # The contraction order depends only on the operand shapes, so it is
-    # planned once, on shape-only stand-ins for the gains.
-    subscripts = "pk,pti,pktj,pkijd->ktd"
     scales = np.sqrt(pc.eta)
-    h_like = np.broadcast_to(0j, (n_aps, per_batch, n_paths))
-    h_hat_like = np.broadcast_to(0j, (n_aps, n_users, per_batch, n_paths))
-    plan = np.einsum_path(subscripts, scales, h_like, h_hat_like, rows,
-                          optimize="greedy")[0]
+    err_var = np.maximum(stats.beta - stats.gamma, 0.0)[:, q, None, :]
 
-    ds_b = np.zeros(BATCHES, dtype=complex)
-    bu_b, isi_b, iui_b = np.zeros((3, BATCHES))
+    a = np.empty((BATCHES, per_batch), dtype=complex)
+    energy = np.empty((BATCHES, n_users, per_batch))
     for b in range(BATCHES):
-        rng = substream(seed, b)
-        # (P, Q, 2, trials, L): true gains and estimates of every link.
-        draws = np.array([[sample_estimate(stats.beta[p, k], stats.gamma[p, k],
-                                           rng, size=(per_batch, n_paths))
-                           for k in range(n_users)] for p in range(n_aps)])
-        h, h_hat = draws[:, q, 0], draws[:, :, 1]
-        # g[q', t]: bin-r row received by user q when precoding for q'.
-        g = np.einsum(subscripts, scales, h, h_hat.conj(), rows,
-                      optimize=plan)
-        a = g[q, :, r]
-        ds_b[b] = a.mean()
-        bu_b[b] = a.var(ddof=1)
-        isi_b[b] = (np.abs(g[q]) ** 2).sum(axis=1).mean() - (np.abs(a) ** 2).mean()
-        iui_b[b] = (np.abs(np.delete(g, q, axis=0)) ** 2).sum(axis=(0, 2)).mean()
+        z = substream(seed, b).standard_normal(
+            (n_aps, n_users, 4, per_batch, n_paths))
+        h_hat = cn_from_normals(stats.gamma[:, :, None, :], z[:, :, 0], z[:, :, 1])
+        h = h_hat[:, q] + cn_from_normals(err_var, z[:, q, 2], z[:, q, 3])
+        coef = np.einsum("pk,pti,pktj->ktpij", scales, h, h_hat.conj()).reshape(
+            n_users, per_batch, -1)
+        a[b] = coef[q] @ column
+        # energy[b, q', t] = sum_d |g_q',d|^2 of trial t.
+        energy[b] = ((coef @ gram) * coef.conj()).sum(axis=2).real
+    ds_b = a.mean(axis=1)
+    bu_b = a.var(axis=1, ddof=1)
+    isi_b = energy[:, q].mean(axis=1) - (np.abs(a) ** 2).mean(axis=1)
+    iui_b = np.delete(energy, q, axis=1).sum(axis=1).mean(axis=1)
 
     def se(x):
         return float(np.std(x, ddof=1) / np.sqrt(BATCHES))

@@ -169,6 +169,9 @@ def test_bad_override_rejected_before_running(tmp_path, capsys, flags, field):
     (["run-cdf", "--config", "no-such-config.json"], "no-such-config.json"),
     (["run-cdf", "--realizations", "0"], "realization"),
     (["validate", "--trials", "5", "--instances", "1"], "trials"),
+    # One trial per batch: no batch variance, so no verdict.
+    (["validate", "--trials", "15", "--instances", "1", "--seed", "2"],
+     "trials must be at least 20"),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys,
                                          argv, message):
@@ -200,7 +203,7 @@ def test_validate_report_bytes(tmp_path):
     assert cli.main(["validate", "--trials", "3000", "--instances", "1",
                      "--seed", "2", "--out", str(out)]) == 0
     assert hashlib.sha1(out.read_bytes()).hexdigest() == \
-        "dc7acdca1c17b3664704aaf802328ec8e3585aa9"
+        "e08fb49b9a51096ee25deb7b5cad41f9f2ca311c"
 
 
 def test_validate_failure_exits_nonzero(tmp_path, capsys):

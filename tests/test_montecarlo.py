@@ -6,10 +6,11 @@ import pytest
 
 from dense_reference import explicit_terms, per_bin_sinr
 
-from cfotfs import experiments
+from cfotfs import experiments, montecarlo
 from cfotfs.channel import OtfsGrid, PathSet
 from cfotfs.estimation import LinkStats
-from cfotfs.montecarlo import (ValidationInstance, estimate_terms,
+from cfotfs.exceptions import EstimateStatisticsError
+from cfotfs.montecarlo import (BATCHES, ValidationInstance, estimate_terms,
                                random_instance, validate_rate)
 from cfotfs.rate import PowerControl, closed_form_terms, equal_power_control
 
@@ -21,12 +22,14 @@ def make_stats(beta, gamma):
                      xi=np.zeros(beta.shape[:2]), rho_p=1.0, rho_u=1.0)
 
 
-def grid_instance(delay_bins, doppler_bins, seed, n_paths=2, **kw):
-    """Two APs and two users on an M x N grid (M delay, N Doppler bins)."""
+def grid_instance(delay_bins, doppler_bins, seed, n_paths=2, n_users=2,
+                  **kw):
+    """Two APs and two users (by default) on an M x N grid (M delay, N
+    Doppler bins)."""
     grid = OtfsGrid(doppler_bins=doppler_bins, delay_bins=delay_bins)
     rho_d, rho_u, rho_p = experiments.normalized_powers(
         experiments.PowerParams(), grid)
-    return random_instance(grid, n_aps=2, n_users=2, n_paths=n_paths,
+    return random_instance(grid, n_aps=2, n_users=n_users, n_paths=n_paths,
                            rho_d=rho_d, rho_u=rho_u, rho_p=rho_p, seed=seed,
                            **kw)
 
@@ -38,6 +41,13 @@ def desk_instance(seed, **kw):
 def bench_instance():
     """The 16x8 instance of the oracle benchmark."""
     return grid_instance(16, 8, 5, n_paths=3, l_max=2, k_max=1,
+                         fractional=True)
+
+
+def three_user_instance():
+    """Three users on an 8x4 grid with fractional Doppler, so user 1 is
+    neither the first nor the last."""
+    return grid_instance(8, 4, 6, n_paths=3, n_users=3, l_max=2, k_max=0,
                          fractional=True)
 
 
@@ -91,7 +101,11 @@ class TestEstimateTerms:
         # l_max = 2; bin 127 is the last.
         (bench_instance, 1, 2 * 16 + 1, 300),
         (bench_instance, 1, 127, 300),
-    ], ids=["desk-0", "desk-last", "16x8-inside-span", "16x8-last"])
+        # Every user's draws share one generator call per batch; the
+        # reference draws them link by link.
+        (three_user_instance, 1, 13, 300),
+    ], ids=["desk-0", "desk-last", "16x8-inside-span", "16x8-last",
+            "3-users-middle"])
     def test_matches_explicit_matrices(self, make, q, r, trials):
         inst = make()
         est = estimate_terms(inst, q, r, trials, seed=3)
@@ -121,6 +135,41 @@ class TestEstimateTerms:
         b = estimate_terms(inst, q=0, r=2, trials=400,
                            seed=np.random.default_rng(9))
         assert a == b
+
+    def test_fewer_than_two_trials_per_batch_rejected(self):
+        # One trial per batch has no sample variance.
+        inst = desk_instance(2)
+        with pytest.raises(ValueError, match=f"trials must be at least "
+                                             f"{2 * BATCHES}.*got 15"):
+            estimate_terms(inst, q=0, r=0, trials=15, seed=9)
+        est = estimate_terms(inst, q=0, r=0, trials=2 * BATCHES, seed=9)
+        assert np.isfinite(est.bu_var) and np.isfinite(est.bu_se)
+
+    def test_one_operator_per_path_and_link(self, monkeypatch):
+        # Each link's operators are built once, user q's link included.
+        inst = three_user_instance()
+        original = montecarlo.dd_operator
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(montecarlo, "dd_operator", counted)
+        estimate_terms(inst, q=1, r=13, trials=100, seed=1)
+        assert len(calls) == inst.pathsets.delay_taps.size
+
+    def test_estimate_above_gain_variance_rejected(self):
+        grid = OtfsGrid(doppler_bins=2, delay_bins=2)
+        stats = make_stats([[[0.5]]], [[[0.6]]])
+        ps = PathSet(delay_taps=[[[0]]], doppler_taps=[[[0]]],
+                     frac_dopplers=[[[0.0]]], variances=[[[0.5]]],
+                     gains=[[[1.0]]])
+        inst = ValidationInstance(grid=grid, pathsets=ps, stats=stats,
+                                  pc=PowerControl(eta=np.ones((1, 1))),
+                                  rho_d=1.0)
+        with pytest.raises(EstimateStatisticsError):
+            estimate_terms(inst, q=0, r=0, trials=100, seed=0)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
