@@ -34,10 +34,6 @@ class OtfsGrid:
             raise ValueError("frequencies must be positive")
 
     @property
-    def symbol_duration_s(self) -> float:
-        return 1.0 / self.delta_f_hz
-
-    @property
     def size(self) -> int:
         return self.doppler_bins * self.delay_bins
 

@@ -89,6 +89,9 @@ def cmd_validate(args) -> int:
     grid = OtfsGrid(doppler_bins=args.doppler_bins, delay_bins=args.delay_bins)
     powers = experiments.PowerParams()
     rho_d, rho_u, rho_p = experiments.normalized_powers(powers, grid)
+    if args.instances < 1:
+        raise ValueError(
+            f"--instances must be at least 1, got {args.instances}")
     reports = []
     failed = False
     for i in range(args.instances):

@@ -66,8 +66,6 @@ class LinkStats:
     mmse_c: np.ndarray
     gamma: np.ndarray
     xi: np.ndarray
-    rho_p: float
-    rho_u: float
 
     @property
     def n_aps(self) -> int:
@@ -98,8 +96,7 @@ def compute_link_stats(beta_paths: np.ndarray, k_max: int, k_hat: int,
     xi = link_power.sum(axis=1, keepdims=True) / n - guard_span / n**2 * link_power
     c = mmse_coeff(beta_paths, rho_p, rho_u, xi[..., None])
     gamma = np.sqrt(rho_p) * beta_paths * c
-    return LinkStats(beta=beta_paths, mmse_c=c, gamma=gamma, xi=xi,
-                     rho_p=rho_p, rho_u=rho_u)
+    return LinkStats(beta=beta_paths, mmse_c=c, gamma=gamma, xi=xi)
 
 
 def check_estimate_variances(beta, gamma) -> None:

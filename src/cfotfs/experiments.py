@@ -88,6 +88,10 @@ class ExperimentConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.shadowing not in ("corr", "uncorr", "both"):
             raise ValueError(f"unknown shadowing request {self.shadowing!r}")
+        for key in ("ap_counts", "user_counts"):
+            if any(count < 1 for count in getattr(self, key)):
+                raise ValueError(f"{key} entries must be at least 1, "
+                                 f"got {getattr(self, key)}")
 
     @property
     def modes(self) -> list:
@@ -197,10 +201,10 @@ def realize_user_rates(config: ExperimentConfig, n_aps: int, n_users: int,
         raise ValueError(f"unknown shadowing mode {mode!r}")
     net = replace(config.network, num_aps=n_aps, num_users=n_users)
     grid, ch = config.grid, config.channel
-    layout = apply_shadowing(place_network(net, rng), net, rng,
-                             correlated=mode == "corr")
+    beta = apply_shadowing(place_network(net, rng), net, rng,
+                           correlated=mode == "corr")
     paths = sample_all_paths(
-        layout.beta_pair, ch.n_paths, ch.l_max, ch.k_max, grid, rng,
+        beta, ch.n_paths, ch.l_max, ch.k_max, grid, rng,
         fractional=ch.fractional, distinct_delays=ch.distinct_delays)
     rho_d, rho_u, rho_p = normalized_powers(config.powers, grid)
     stats = compute_link_stats(paths.variances, ch.k_max, ch.k_hat, rho_p,
@@ -244,11 +248,6 @@ class CdfTable:
     user: np.ndarray
     rate: np.ndarray  # bit/s/Hz
     throughput: np.ndarray  # bit/s
-
-    def cdf(self):
-        """Empirical CDF support points and probabilities."""
-        x = np.sort(self.throughput)
-        return x, np.arange(1, len(x) + 1) / len(x)
 
     def summary(self):
         """(median, 5th percentile) of the throughput samples."""

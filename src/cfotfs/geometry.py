@@ -1,5 +1,6 @@
-"""Network geometry: random AP/user layouts on a wrap-around square and
-large-scale fading (three-slope path loss plus log-normal shadowing)."""
+"""Network geometry: random AP/user layouts on a wrap-around square
+(place_network) and the (AP, user) large-scale gains over them
+(apply_shadowing: three-slope path loss plus log-normal shadowing)."""
 
 from __future__ import annotations
 
@@ -48,25 +49,19 @@ class NetworkConfig:
 
 @dataclass
 class Layout:
-    """AP/user positions in meters and per-pair large-scale coefficients
-    beta_pair[p, q] in linear scale (zeros until shadowing is applied)."""
+    """AP and user positions in meters, shaped (P, 2) and (Q, 2)."""
 
     ap_positions: np.ndarray
     user_positions: np.ndarray
-    beta_pair: np.ndarray
 
 
 def place_network(config: NetworkConfig, seed=None) -> Layout:
-    """Drop APs and users i.i.d. uniformly over the square.
-
-    beta_pair is left at zero; call apply_shadowing to fill it.
-    """
+    """Drop APs and users i.i.d. uniformly over the square."""
     rng = as_rng(seed)
     side = config.side_m
     aps = rng.uniform(0.0, side, size=(config.num_aps, 2))
     users = rng.uniform(0.0, side, size=(config.num_users, 2))
-    beta = np.zeros((config.num_aps, config.num_users))
-    return Layout(ap_positions=aps, user_positions=users, beta_pair=beta)
+    return Layout(ap_positions=aps, user_positions=users)
 
 
 def wrapped_distance(a, b, side: float):
@@ -108,8 +103,9 @@ def _correlated_field(positions: np.ndarray, side: float, decorr_m: float,
 
 
 def apply_shadowing(layout: Layout, config: NetworkConfig, seed=None,
-                    correlated: bool = False) -> Layout:
-    """Fill beta_pair = 10^((PL_dB + sigma*z)/10) for every AP-user pair.
+                    correlated: bool = False) -> np.ndarray:
+    """Large-scale gains beta[p, q] = 10^((PL_dB + sigma*z)/10) in linear
+    scale for every AP-user pair of the layout, shaped (P, Q).
 
     z is i.i.d. standard normal, or spatially correlated (see
     NetworkConfig) when correlated is True, and is zero up to d1, where
@@ -129,7 +125,4 @@ def apply_shadowing(layout: Layout, config: NetworkConfig, seed=None,
     else:
         z = rng.standard_normal(d.shape)
     shadow_db = np.where(d > config.d1_m, config.shadow_std_db * z, 0.0)
-    beta = 10.0 ** ((pl_db + shadow_db) / 10.0)
-    return Layout(ap_positions=layout.ap_positions.copy(),
-                  user_positions=layout.user_positions.copy(),
-                  beta_pair=beta)
+    return 10.0 ** ((pl_db + shadow_db) / 10.0)

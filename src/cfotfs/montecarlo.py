@@ -29,7 +29,7 @@ from .rng import as_int_seed, as_rng, cn_from_normals, substream
 
 @dataclass
 class ValidationInstance:
-    """Frozen geometry and statistics for one validation run."""
+    """Frozen paths, statistics and power control for one validation run."""
 
     grid: OtfsGrid
     pathsets: PathSet
@@ -43,19 +43,20 @@ def random_instance(grid: OtfsGrid, n_aps: int, n_users: int, n_paths: int,
                     l_max: int = None, k_max: int = 0,
                     fractional: bool = True,
                     distinct_delays: bool = False) -> ValidationInstance:
-    """Random geometry, paths and estimation statistics for validation.
+    """Random paths, estimation statistics and power control for validation.
 
-    Runs the same pipeline as the experiment driver (placement, shadowing,
-    path sampling, MMSE statistics, equal power control) on a
-    grid small enough for dense channel matrices, over the default
-    network area and with a pilot guard set by k_max alone (k_hat = 0).
+    Runs the same pipeline as the experiment driver (placement, shadowed
+    large-scale gains, path sampling, MMSE statistics, equal power
+    control) on a grid small enough for dense channel matrices, over the
+    default network area and with a pilot guard set by k_max alone
+    (k_hat = 0).
     """
     rng = as_rng(seed)
     l_max = grid.delay_bins - 1 if l_max is None else l_max
     net = NetworkConfig(num_aps=n_aps, num_users=n_users)
-    layout = apply_shadowing(place_network(net, rng), net, rng)
-    pathsets = sample_all_paths(layout.beta_pair, n_paths, l_max, k_max,
-                                grid, rng, fractional=fractional,
+    beta = apply_shadowing(place_network(net, rng), net, rng)
+    pathsets = sample_all_paths(beta, n_paths, l_max, k_max, grid, rng,
+                                fractional=fractional,
                                 distinct_delays=distinct_delays)
     stats = compute_link_stats(pathsets.variances, k_max, 0, rho_p, rho_u,
                                grid)
@@ -248,7 +249,8 @@ def validate_rate(instance: ValidationInstance, trials: int, seed=None,
     users = range(instance.stats.n_users) if users is None else users
     bins = _default_bins(grid) if bins is None else list(bins)
     seed = as_int_seed(seed)
-    report = ValidationReport(gate=gate, trials=trials)
+    # estimate_terms runs whole batches of trials.
+    report = ValidationReport(gate=gate, trials=trials // BATCHES * BATCHES)
     for q in users:
         # The closed form takes the same value at every bin.
         ds_cf, bu_cf, isi_cf, iui_cf = rate_mod.closed_form_terms(

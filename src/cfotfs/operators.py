@@ -141,7 +141,6 @@ class IdentityReport:
     unitarity_dev: float
     diag_zero_dev: float
     row_sum_dev: float
-    n_paths: int
     n_diag_pairs: int
     tol: float
 
@@ -192,8 +191,8 @@ def verify_operator_identities(paths: PathSet, grid: OtfsGrid,
     row_dev = float(np.max(np.abs(np.abs(row_sums) ** 2 - 1.0)))
 
     report = IdentityReport(unitarity_dev=unit_dev, diag_zero_dev=diag_dev,
-                            row_sum_dev=row_dev, n_paths=paths.n_paths,
-                            n_diag_pairs=n_diag_pairs, tol=tol)
+                            row_sum_dev=row_dev, n_diag_pairs=n_diag_pairs,
+                            tol=tol)
     if unit_dev > tol:
         raise IdentityCheckError(
             f"unitarity violated: deviation {unit_dev:.3e} > {tol:.1e}")

@@ -49,7 +49,6 @@ class RateReport:
     efficiency and throughput, the total bandwidth M*delta_f times the
     spectral efficiency with no overhead discount."""
 
-    user: int
     sinr: float
     rate_bps_hz: float
     throughput_bps: float
@@ -103,11 +102,11 @@ def closed_form_terms(q: int, r: int, stats: LinkStats, pc: PowerControl,
     return _user_terms(q, stats, pc, chi, kappa)
 
 
-def _report(q: int, terms, rho_d: float, grid: OtfsGrid) -> RateReport:
+def _report(terms, rho_d: float, grid: OtfsGrid) -> RateReport:
     ds, bu, isi, iui = terms
     sinr = assemble_sinr(ds, bu + isi + iui, rho_d)
     rate = float(np.log2(1.0 + sinr))
-    return RateReport(user=q, sinr=float(sinr), rate_bps_hz=rate,
+    return RateReport(sinr=float(sinr), rate_bps_hz=rate,
                       throughput_bps=rate * grid.bandwidth_hz)
 
 
@@ -116,7 +115,7 @@ def achievable_rate(q: int, stats: LinkStats, pc: PowerControl,
     """Per-user achievable rate log2(1 + SINR); the SINR is the same at
     every DD bin, so this is also the mean over all MN bins."""
     terms = closed_form_terms(q, 0, stats, pc, pathsets, grid)
-    return _report(q, terms, rho_d, grid)
+    return _report(terms, rho_d, grid)
 
 
 def rate_distinct_delays(q: int, stats: LinkStats, pc: PowerControl,
@@ -136,4 +135,4 @@ def rate_distinct_delays(q: int, stats: LinkStats, pc: PowerControl,
             f"link (ap={np.argmax(repeats)}, user={q}) repeats a delay tap")
     n_aps, n_paths = taps.shape
     eye = np.broadcast_to(np.eye(n_paths), (n_aps, n_paths, n_paths))
-    return _report(q, _user_terms(q, stats, pc, eye, 1.0 - eye), rho_d, grid)
+    return _report(_user_terms(q, stats, pc, eye, 1.0 - eye), rho_d, grid)

@@ -168,8 +168,8 @@ def test_criterion_08_power_constraint():
     for i in range(50):
         rng = np.random.default_rng(808 + i)
         net = config.network
-        layout = apply_shadowing(place_network(net, rng), net, rng)
-        pathsets = sample_all_paths(layout.beta_pair, config.channel.n_paths,
+        beta = apply_shadowing(place_network(net, rng), net, rng)
+        pathsets = sample_all_paths(beta, config.channel.n_paths,
                                     config.channel.l_max,
                                     config.channel.k_max, config.grid, rng)
         _, rho_u, rho_p = experiments.normalized_powers(config.powers,

@@ -15,9 +15,6 @@ FIELDS = ("delay_taps", "doppler_taps", "frac_dopplers", "variances",
 
 
 class TestGrid:
-    def test_symbol_duration_inverse_of_spacing(self):
-        assert PAPER_GRID.symbol_duration_s * PAPER_GRID.delta_f_hz == 1.0
-
     def test_size(self):
         assert PAPER_GRID.size == 600
 

@@ -165,6 +165,32 @@ def test_bad_override_rejected_before_running(tmp_path, capsys, flags, field):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, counts, source", [
+    ("ap_counts", [4, 0], "flags"), ("user_counts", [2, -3], "flags"),
+    ("ap_counts", [0, -3], "config"), ("user_counts", [0], "config"),
+], ids=["ap-flags", "user-flags", "ap-config", "user-config"])
+def test_count_below_one_rejected_before_running(tmp_path, monkeypatch,
+                                                 capsys, key, counts, source):
+    realized = []
+    monkeypatch.setattr(experiments, "realize_user_rates",
+                        lambda *args: realized.append(args))
+    argv = ["run-vs-aps", "--realizations", "1"]
+    if source == "flags":
+        argv += ["--" + key.replace("_", "-"), ",".join(map(str, counts))]
+    else:
+        data = experiments.config_to_dict(experiments.desk_preset())
+        data[key] = counts
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(data))
+        argv += ["--config", str(cfg_path)]
+    out = tmp_path / "sweep.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cfotfs: error: {key} entries must be at least 1")
+    assert len(err.splitlines()) == 1
+    assert realized == [] and not out.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["run-cdf", "--config", "no-such-config.json"], "no-such-config.json"),
     (["run-cdf", "--realizations", "0"], "realization"),
@@ -172,6 +198,9 @@ def test_bad_override_rejected_before_running(tmp_path, capsys, flags, field):
     # One trial per batch: no batch variance, so no verdict.
     (["validate", "--trials", "15", "--instances", "1", "--seed", "2"],
      "trials must be at least 20"),
+    # No instance: nothing would be checked.
+    (["validate", "--instances", "0"], "--instances must be at least 1"),
+    (["validate", "--instances", "-2"], "--instances must be at least 1"),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys,
                                          argv, message):
@@ -194,6 +223,14 @@ def test_validate_command(tmp_path, capsys):
     reports = json.loads(report_path.read_text())
     assert reports[0]["passed"] is True
     assert reports[0]["checks"]
+
+
+def test_validate_records_the_trials_run(tmp_path):
+    # Trials run in 10 whole batches: 25 requested, 20 run and recorded.
+    out = tmp_path / "validation.json"
+    assert cli.main(["validate", "--trials", "25", "--instances", "1",
+                     "--seed", "2", "--out", str(out)]) in (0, 1)
+    assert json.loads(out.read_text())[0]["trials"] == 20
 
 
 def test_validate_report_bytes(tmp_path):

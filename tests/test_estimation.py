@@ -176,13 +176,14 @@ class TestComputeLinkStats:
     def test_shapes_and_invariants(self):
         rng = np.random.default_rng(2)
         beta = rng.uniform(1e-12, 1e-8, size=(3, 4, 5))
-        stats = compute_link_stats(beta, 3, 1, rho_p=1e10, rho_u=1e9,
+        rho_p = 1e10
+        stats = compute_link_stats(beta, 3, 1, rho_p=rho_p, rho_u=1e9,
                                    grid=PAPER_GRID)
         assert stats.gamma.shape == (3, 4, 5)
         assert np.all(stats.gamma >= 0)
         assert np.all(stats.gamma <= stats.beta)
         np.testing.assert_allclose(
-            stats.gamma, np.sqrt(stats.rho_p) * stats.beta * stats.mmse_c)
+            stats.gamma, np.sqrt(rho_p) * stats.beta * stats.mmse_c)
         # Once the guard fits the frame (g = 17 < N = 20), xi is bounded
         # away from zero by the own leakage P_q (N - g) / N^2.
         own_leakage = (20 - 17) / 20**2 * beta.sum(axis=2)

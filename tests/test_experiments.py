@@ -64,25 +64,19 @@ class TestSummaryStats:
 
 
 class TestRunCdf:
-    def test_sample_count_and_monotone_cdf(self):
+    def test_sample_count_and_positive_rates(self):
         cfg = tiny_config(realizations=5)
         tables = experiments.run_cdf(cfg)
         assert len(tables) == 1
         table = tables[0]
         assert len(table.throughput) == 5 * cfg.network.num_users
-        x, p = table.cdf()
-        assert np.all(np.diff(x) >= 0)
-        assert np.all(np.diff(p) > 0)
-        assert p[0] > 0 and p[-1] == pytest.approx(1.0)
         assert np.all(table.rate > 0)
 
-    def test_single_sample_step_function(self):
+    def test_single_sample(self):
         cfg = tiny_config(realizations=1)
         cfg.network = NetworkConfig(num_aps=2, num_users=1)
         table = experiments.run_cdf(cfg)[0]
         assert len(table.throughput) == 1
-        x, p = table.cdf()
-        assert p.tolist() == [1.0]
 
     def test_both_modes(self):
         cfg = tiny_config(realizations=2, shadowing="both")
@@ -169,6 +163,12 @@ class TestConfigPlumbing:
             experiments.ExperimentConfig(
                 network=NetworkConfig(num_aps=2, num_users=1),
                 grid=OtfsGrid(doppler_bins=4, delay_bins=8), workers=0)
+
+    @pytest.mark.parametrize("key", ["ap_counts", "user_counts"])
+    def test_counts_below_one_named(self, key):
+        for counts in ([0, -3], [4, 0]):
+            with pytest.raises(ValueError, match=key):
+                tiny_config(**{key: counts})
 
     def test_unknown_key_named(self):
         data = experiments.config_to_dict(tiny_config())

@@ -20,7 +20,6 @@ class TestPlacement:
         assert layout.user_positions.shape == (20, 2)
         for pts in (layout.ap_positions, layout.user_positions):
             assert np.all(pts >= 0.0) and np.all(pts < 1000.0)
-        assert np.all(layout.beta_pair == 0.0)
 
     def test_deterministic_under_seed(self):
         cfg = make_config(num_aps=1, num_users=1)
@@ -93,23 +92,22 @@ class TestShadowing:
     def test_zero_sigma_gives_pure_path_loss(self):
         cfg = make_config(shadow_std_db=0.0)
         layout = place_network(cfg, seed=1)
-        shadowed = apply_shadowing(layout, cfg, seed=2)
+        beta = apply_shadowing(layout, cfg, seed=2)
         d = wrapped_distance(layout.ap_positions[:, None, :],
                              layout.user_positions[None, :, :], cfg.side_m)
         expected = 10.0 ** (path_loss_db(d, cfg) / 10.0)
-        np.testing.assert_allclose(shadowed.beta_pair, expected, rtol=1e-12)
-        assert np.all(shadowed.beta_pair > 0.0)
+        np.testing.assert_allclose(beta, expected, rtol=1e-12)
+        assert np.all(beta > 0.0)
 
     def test_empirical_std_matches_sigma(self):
         # Single far pair (d > d1), 1e4 realizations of the shadow term.
         cfg = make_config(num_aps=1, num_users=1, shadow_std_db=8.0)
         layout = Layout(ap_positions=np.array([[0.0, 0.0]]),
-                        user_positions=np.array([[500.0, 0.0]]),
-                        beta_pair=np.zeros((1, 1)))
+                        user_positions=np.array([[500.0, 0.0]]))
         pl_lin = 10.0 ** (path_loss_db(500.0, cfg) / 10.0)
         rng = np.random.default_rng(11)
         draws = np.array([
-            apply_shadowing(layout, cfg, rng).beta_pair[0, 0]
+            apply_shadowing(layout, cfg, rng)[0, 0]
             for _ in range(10_000)
         ])
         shadow_db = 10.0 * np.log10(draws / pl_lin)
@@ -118,10 +116,9 @@ class TestShadowing:
     def test_no_shadowing_inside_d1(self):
         cfg = make_config(num_aps=1, num_users=1)
         layout = Layout(ap_positions=np.array([[0.0, 0.0]]),
-                        user_positions=np.array([[30.0, 0.0]]),
-                        beta_pair=np.zeros((1, 1)))
-        a = apply_shadowing(layout, cfg, seed=3).beta_pair
-        b = apply_shadowing(layout, cfg, seed=4).beta_pair
+                        user_positions=np.array([[30.0, 0.0]]))
+        a = apply_shadowing(layout, cfg, seed=3)
+        b = apply_shadowing(layout, cfg, seed=4)
         np.testing.assert_array_equal(a, b)
 
     def test_colocated_users_fully_correlated(self):
@@ -130,12 +127,11 @@ class TestShadowing:
         cfg = make_config(num_aps=1, num_users=2)
         layout = Layout(ap_positions=np.array([[0.0, 0.0]]),
                         user_positions=np.array([[600.0, 200.0],
-                                                 [600.0, 200.0]]),
-                        beta_pair=np.zeros((1, 2)))
+                                                 [600.0, 200.0]]))
         rng = np.random.default_rng(5)
         draws = np.array([
             10.0 * np.log10(apply_shadowing(layout, cfg, rng,
-                                            correlated=True).beta_pair[0])
+                                            correlated=True)[0])
             for _ in range(10_000)
         ])
         corr = np.corrcoef(draws[:, 0], draws[:, 1])[0, 1]
@@ -151,7 +147,7 @@ class TestShadowing:
         far = d > cfg.d1_m
         samples = []
         for _ in range(4000):
-            beta = apply_shadowing(layout, cfg, rng, correlated=True).beta_pair
+            beta = apply_shadowing(layout, cfg, rng, correlated=True)
             samples.append(10.0 * np.log10(beta / pl_lin)[far])
         samples = np.array(samples)
         assert samples.std(axis=0) == pytest.approx(8.0, rel=0.1)

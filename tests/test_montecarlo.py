@@ -19,7 +19,7 @@ def make_stats(beta, gamma):
     beta = np.asarray(beta, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
     return LinkStats(beta=beta, mmse_c=gamma / beta, gamma=gamma,
-                     xi=np.zeros(beta.shape[:2]), rho_p=1.0, rho_u=1.0)
+                     xi=np.zeros(beta.shape[:2]))
 
 
 def grid_instance(delay_bins, doppler_bins, seed, n_paths=2, n_users=2,
@@ -246,8 +246,7 @@ class TestValidateRate:
         grid = OtfsGrid(doppler_bins=2, delay_bins=2)
         beta = np.full((1, 1, 1), 0.5)
         stats = LinkStats(beta=beta, mmse_c=np.zeros_like(beta),
-                          gamma=np.zeros_like(beta), xi=np.zeros((1, 1)),
-                          rho_p=1.0, rho_u=1.0)
+                          gamma=np.zeros_like(beta), xi=np.zeros((1, 1)))
         ps = PathSet(delay_taps=[[[0]]], doppler_taps=[[[0]]],
                      frac_dopplers=[[[0.0]]], variances=beta, gains=[[[1.0]]])
         inst = ValidationInstance(grid=grid, pathsets=ps, stats=stats,

@@ -13,12 +13,11 @@ from cfotfs.rate import (PowerControl, achievable_rate, closed_form_terms,
 from cfotfs.rng import substream
 
 
-def make_stats(beta, gamma, rho_p=1.0, rho_u=1.0):
+def make_stats(beta, gamma):
     beta = np.asarray(beta, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
-    c = gamma / (np.sqrt(rho_p) * beta)
-    return LinkStats(beta=beta, mmse_c=c, gamma=gamma,
-                     xi=np.zeros(beta.shape[:2]), rho_p=rho_p, rho_u=rho_u)
+    return LinkStats(beta=beta, mmse_c=gamma / beta, gamma=gamma,
+                     xi=np.zeros(beta.shape[:2]))
 
 
 def single_link_setup(beta=2.0, gamma=1.5, delay=0, doppler=0, frac=0.0):
