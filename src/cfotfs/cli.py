@@ -85,7 +85,14 @@ def cmd_run_vs_aps(args) -> int:
     return 0
 
 
+def _check_seed(args) -> None:
+    # numpy's own message for a negative seed names no flag.
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
+
+
 def cmd_validate(args) -> int:
+    _check_seed(args)
     grid = OtfsGrid(doppler_bins=args.doppler_bins, delay_bins=args.delay_bins)
     powers = experiments.PowerParams()
     rho_d, rho_u, rho_p = experiments.normalized_powers(powers, grid)
@@ -115,6 +122,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_check_identities(args) -> int:
+    _check_seed(args)
     grid = OtfsGrid(doppler_bins=args.doppler_bins, delay_bins=args.delay_bins)
     paths = sample_all_paths(1.0, args.paths, grid.delay_bins - 1,
                              max(grid.doppler_bins // 2 - 1, 0), grid,

@@ -14,7 +14,7 @@ import numpy as np
 
 from .channel import OtfsGrid
 from .exceptions import EstimateStatisticsError, GuardWidthError
-from .rng import as_rng, sample_cn
+from .rng import as_rng, cn_from_normals
 
 
 def _doppler_guard_span(k_max: int, k_hat: int) -> int:
@@ -107,17 +107,23 @@ def check_estimate_variances(beta, gamma) -> None:
             "estimate variance must satisfy 0 <= gamma <= beta")
 
 
-def sample_estimate(beta, gamma, seed=None, size=None):
-    """Draw a (true gain, estimate) pair consistent with MMSE statistics.
+def sample_estimate(beta, gamma, seed=None, trials=1):
+    """Draw (true gain, estimate) pairs consistent with MMSE statistics.
 
     The estimate and the estimation error are independent complex normals
     with variances gamma and beta - gamma; their sum is the true gain.
-    Returns (gain, estimate).
+    beta and gamma are (..., L) arrays (0-d for one path). One
+    standard_normal(links + (4, trials, L)) call holds each link's
+    estimate parts, then its error parts: the stream of one call per link
+    in row-major order. Returns (gain, estimate), shaped (..., trials, L).
     """
     beta = np.asarray(beta, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
     check_estimate_variances(beta, gamma)
-    rng = as_rng(seed)
-    h_hat = sample_cn(rng, gamma, size)
-    err = sample_cn(rng, np.maximum(beta - gamma, 0.0), size)
-    return h_hat + err, h_hat
+    axis = max(beta.ndim - 1, 0)
+    links, paths = beta.shape[:axis], beta.shape[axis:]
+    z = as_rng(seed).standard_normal(links + (4, trials) + paths)
+    re_hat, im_hat, re_err, im_err = np.moveaxis(z, axis, 0)
+    h_hat = cn_from_normals(gamma.reshape(links + (1,) + paths), re_hat, im_hat)
+    err_var = np.maximum(beta - gamma, 0.0).reshape(links + (1,) + paths)
+    return h_hat + cn_from_normals(err_var, re_err, im_err), h_hat

@@ -10,7 +10,7 @@ import json
 import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -64,6 +64,9 @@ class PowerParams:
     def __post_init__(self):
         if min(self.down_w, self.up_w, self.pilot_w) <= 0:
             raise ValueError("transmit powers must be positive")
+        if not self.noise_figure_db >= 0:
+            raise ValueError("noise figure must be non-negative, got "
+                             f"{self.noise_figure_db}")
 
 
 @dataclass
@@ -154,13 +157,17 @@ _VALUE_CHECKS = {
 
 
 def _from_fields(cls, data: dict, section: str):
-    """cls(**data), naming any key that cls has no field for and any value
-    of the wrong type."""
+    """cls(**data), naming any key that cls has no field for, any required
+    key that data lacks and any value of the wrong type."""
     annotations = {f.name: f.type for f in fields(cls)}
     unknown = sorted(set(data) - set(annotations))
     if unknown:
         raise ValueError(f"unknown {section} config key(s): {', '.join(unknown)}")
     prefix = "" if cls is ExperimentConfig else section + "."
+    missing = [prefix + f.name for f in fields(cls) if f.name not in data
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"config lacks required key(s): {', '.join(missing)}")
     for key, value in data.items():
         # Section fields have no entry: they arrive already built.
         expected, check = _VALUE_CHECKS.get(annotations[key], (None, None))
@@ -171,6 +178,8 @@ def _from_fields(cls, data: dict, section: str):
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
+    if not isinstance(data, dict):
+        raise ValueError(f"config must be an object, got {data!r}")
     data = dict(data)
     for key, cls in _SECTIONS.items():
         if key in data:
@@ -192,28 +201,39 @@ def normalized_powers(powers: PowerParams, grid: OtfsGrid):
     return powers.down_w / sigma2, powers.up_w / sigma2, powers.pilot_w / sigma2
 
 
-def realize_user_rates(config: ExperimentConfig, n_aps: int, n_users: int,
-                       mode: str, rng):
-    """One network realization: placement, shadowing, path sampling,
-    estimation statistics, power control and the per-user closed-form
-    rate. Returns (rates, throughputs) arrays of length n_users."""
-    if mode not in _MODE_IDS:
-        raise ValueError(f"unknown shadowing mode {mode!r}")
-    net = replace(config.network, num_aps=n_aps, num_users=n_users)
-    grid, ch = config.grid, config.channel
+def realize_links(net: NetworkConfig, grid: OtfsGrid, channel: ChannelParams,
+                  rho_u: float, rho_p: float, rng, correlated: bool = False):
+    """One network realization, drawn from rng: placement, shadowing, path
+    sampling, MMSE statistics, equal power control and the per-AP load
+    check, each stage looked up in this module. Returns (paths, stats, pc).
+    """
     beta = apply_shadowing(place_network(net, rng), net, rng,
-                           correlated=mode == "corr")
+                           correlated=correlated)
     paths = sample_all_paths(
-        beta, ch.n_paths, ch.l_max, ch.k_max, grid, rng,
-        fractional=ch.fractional, distinct_delays=ch.distinct_delays)
-    rho_d, rho_u, rho_p = normalized_powers(config.powers, grid)
-    stats = compute_link_stats(paths.variances, ch.k_max, ch.k_hat, rho_p,
-                               rho_u, grid)
+        beta, channel.n_paths, channel.l_max, channel.k_max, grid, rng,
+        fractional=channel.fractional,
+        distinct_delays=channel.distinct_delays)
+    stats = compute_link_stats(paths.variances, channel.k_max, channel.k_hat,
+                               rho_p, rho_u, grid)
     pc = equal_power_control(stats)
     load = power_constraint_load(stats, pc)
     if np.max(np.abs(load - 1.0)) > 1e-12:
         raise RuntimeError("per-AP power constraint violated: "
                            f"max deviation {np.max(np.abs(load - 1.0)):.3e}")
+    return paths, stats, pc
+
+
+def realize_user_rates(config: ExperimentConfig, n_aps: int, n_users: int,
+                       mode: str, rng):
+    """One realize_links network and its per-user closed-form rate.
+    Returns (rates, throughputs) arrays of length n_users."""
+    if mode not in _MODE_IDS:
+        raise ValueError(f"unknown shadowing mode {mode!r}")
+    net = replace(config.network, num_aps=n_aps, num_users=n_users)
+    grid, ch = config.grid, config.channel
+    rho_d, rho_u, rho_p = normalized_powers(config.powers, grid)
+    paths, stats, pc = realize_links(net, grid, ch, rho_u, rho_p, rng,
+                                     correlated=mode == "corr")
     rate_fn = rate_distinct_delays if ch.distinct_delays else achievable_rate
     rates = np.empty(n_users)
     tputs = np.empty(n_users)

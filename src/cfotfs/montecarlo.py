@@ -6,11 +6,12 @@ received-signal terms whose closed forms the rate module evaluates:
 desired-signal mean, precoding gain uncertainty, inter-symbol and
 inter-user interference. Only row r of each channel product enters them,
 so once per call the oracle builds the row products T_pq,i[r, :] T_pq',j^H
-from the dense operators, holding one link's operators at a time, and
-reduces each user's to a Gram matrix; a trial then costs O((P L^2)^2) per
-user, whatever the grid size. It never forms a channel matrix, and each
-batch draws all its gains with one generator call, in the same order
-(AP, user) as a computation with explicit channel matrices would.
+from the dense operators, one dd_operator call per link (P Q calls, not
+P Q L), holding one link's operators at a time, and reduces each user's
+to a Gram matrix; a trial then costs O((P L^2)^2) per user, whatever the
+grid size. It never forms a channel matrix, and each batch draws all its
+gains with one sample_estimate call, in the same order (AP, user) as a
+computation with explicit channel matrices would.
 """
 
 from __future__ import annotations
@@ -20,11 +21,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import rate as rate_mod
-from .channel import OtfsGrid, PathSet, sample_all_paths
-from .estimation import LinkStats, check_estimate_variances, compute_link_stats
-from .geometry import NetworkConfig, apply_shadowing, place_network
+from .channel import OtfsGrid, PathSet
+from .estimation import LinkStats, sample_estimate
+from .experiments import ChannelParams, realize_links
+from .geometry import NetworkConfig
 from .operators import dd_operator
-from .rng import as_int_seed, as_rng, cn_from_normals, substream
+from .rng import as_int_seed, as_rng, substream
 
 
 @dataclass
@@ -45,22 +47,17 @@ def random_instance(grid: OtfsGrid, n_aps: int, n_users: int, n_paths: int,
                     distinct_delays: bool = False) -> ValidationInstance:
     """Random paths, estimation statistics and power control for validation.
 
-    Runs the same pipeline as the experiment driver (placement, shadowed
-    large-scale gains, path sampling, MMSE statistics, equal power
-    control) on a grid small enough for dense channel matrices, over the
-    default network area and with a pilot guard set by k_max alone
-    (k_hat = 0).
+    Runs the experiment driver's realization (experiments.realize_links)
+    on a grid small enough for dense channel matrices, over the default
+    network area and with a pilot guard set by k_max alone (k_hat = 0).
     """
-    rng = as_rng(seed)
     l_max = grid.delay_bins - 1 if l_max is None else l_max
-    net = NetworkConfig(num_aps=n_aps, num_users=n_users)
-    beta = apply_shadowing(place_network(net, rng), net, rng)
-    pathsets = sample_all_paths(beta, n_paths, l_max, k_max, grid, rng,
-                                fractional=fractional,
-                                distinct_delays=distinct_delays)
-    stats = compute_link_stats(pathsets.variances, k_max, 0, rho_p, rho_u,
-                               grid)
-    pc = rate_mod.equal_power_control(stats)
+    channel = ChannelParams(n_paths=n_paths, l_max=l_max, k_max=k_max,
+                            k_hat=0, fractional=fractional,
+                            distinct_delays=distinct_delays)
+    pathsets, stats, pc = realize_links(
+        NetworkConfig(num_aps=n_aps, num_users=n_users), grid, channel,
+        rho_u, rho_p, as_rng(seed))
     return ValidationInstance(grid=grid, pathsets=pathsets, stats=stats,
                               pc=pc, rho_d=rho_d)
 
@@ -102,19 +99,18 @@ def estimate_terms(instance: ValidationInstance, q: int, r: int, trials: int,
     g_q' = c_q' R_q', with per-trial coefficients
     c_q'[(p, i, j)] = sqrt(eta_pq') h_pq,i conj(hhat_pq',j) and row
     products R_q'[(p, i, j), :] = T_pq,i[r, :] T_pq',j^H. Once per call,
-    the row products are built holding one link's dense operators at a
-    time (user q's link first, for its bin-r rows), and each user's Gram
-    matrix R_q' R_q'^H is formed. A trial's bin-r sample is then
-    c_q R_q[:, r] and its row energy sum_d |g_q',d|^2 is
-    c_q' R_q' R_q'^H c_q'^H: O((P L^2)^2) per user and trial, whatever
-    the grid. Each batch of trials draws from its own substream with one
-    standard-normal call whose (AP, user) blocks hold the estimate's real
-    and imaginary parts, then the error's: the stream of per-link
-    sample_estimate calls in (AP, user) order. So the estimates do not
-    depend on execution order. An integer seed keys the substreams
-    directly; a Generator (or None) draws that key. Raises ValueError for
-    fewer than 2 * BATCHES trials, since each batch needs a sample
-    variance, and EstimateStatisticsError unless 0 <= gamma <= beta.
+    the row products are built from one dd_operator call per link, holding
+    one link's dense operators at a time (user q's link first, for its
+    bin-r rows), and each user's Gram matrix R_q' R_q'^H is formed. A
+    trial's bin-r sample is then c_q R_q[:, r] and its row energy
+    sum_d |g_q',d|^2 is c_q' R_q' R_q'^H c_q'^H: O((P L^2)^2) per user and
+    trial, whatever the grid. Each batch of trials draws every (gain,
+    estimate) pair with one sample_estimate call on its own substream, so
+    the estimates do not depend on execution order. An integer seed keys
+    the substreams directly; a Generator (or None) draws that key. Raises
+    ValueError for fewer than 2 * BATCHES trials, since each batch needs a
+    sample variance, and EstimateStatisticsError unless
+    0 <= gamma <= beta.
     """
     grid = instance.grid
     stats, pc, paths = instance.stats, instance.pc, instance.pathsets
@@ -123,39 +119,33 @@ def estimate_terms(instance: ValidationInstance, q: int, r: int, trials: int,
     if trials < 2 * BATCHES:
         raise ValueError(f"trials must be at least {2 * BATCHES} (two per "
                          f"batch), got {trials}")
-    check_estimate_variances(stats.beta, stats.gamma)
     per_batch = trials // BATCHES
     n_aps, n_users, n_paths = paths.delay_taps.shape
 
     # rows[q', p, i, j] = T_pq,i[r, :] T_pq',j^H, one link's operators at a time.
     rows = np.empty((n_users, n_aps, n_paths, n_paths, grid.size), dtype=complex)
-    ops = np.empty((n_paths, grid.size, grid.size), dtype=complex)
     doppler = paths.doppler()
     for p in range(n_aps):
         for k in [q] + [k for k in range(n_users) if k != q]:
-            for i in range(n_paths):
-                ops[i] = dd_operator(paths.delay_taps[p, k, i],
-                                     doppler[p, k, i], grid)
+            ops = dd_operator(paths.delay_taps[p, k], doppler[p, k], grid)
             if k == q:
                 row_r = ops[:, r, :].conj()
             rows[k, p] = (row_r @ ops.reshape(-1, grid.size).T).reshape(
                 n_paths, n_paths, grid.size).conj()
+            del ops  # two live stacks make the allocator re-map their pages
     rows = rows.reshape(n_users, -1, grid.size)
     gram = rows @ rows.conj().transpose(0, 2, 1)
     column = rows[q, :, r]
     seed = as_int_seed(seed)
     scales = np.sqrt(pc.eta)
-    err_var = np.maximum(stats.beta - stats.gamma, 0.0)[:, q, None, :]
 
     a = np.empty((BATCHES, per_batch), dtype=complex)
     energy = np.empty((BATCHES, n_users, per_batch))
     for b in range(BATCHES):
-        z = substream(seed, b).standard_normal(
-            (n_aps, n_users, 4, per_batch, n_paths))
-        h_hat = cn_from_normals(stats.gamma[:, :, None, :], z[:, :, 0], z[:, :, 1])
-        h = h_hat[:, q] + cn_from_normals(err_var, z[:, q, 2], z[:, q, 3])
-        coef = np.einsum("pk,pti,pktj->ktpij", scales, h, h_hat.conj()).reshape(
-            n_users, per_batch, -1)
+        h, h_hat = sample_estimate(stats.beta, stats.gamma, substream(seed, b),
+                                   trials=per_batch)
+        coef = np.einsum("pk,pti,pktj->ktpij", scales, h[:, q],
+                         h_hat.conj()).reshape(n_users, per_batch, -1)
         a[b] = coef[q] @ column
         # energy[b, q', t] = sum_d |g_q',d|^2 of trial t.
         energy[b] = ((coef @ gram) * coef.conj()).sum(axis=2).real
@@ -243,8 +233,11 @@ def validate_rate(instance: ValidationInstance, trials: int, seed=None,
     gate. Also flags, per user, empirical SINR spread across bins that
     exceeds the statistical noise scale. Each (user, bin) simulates from
     the integer master seed offset by 7919 q + 104729 r; a Generator (or
-    None) draws that master.
+    None) draws that master. Raises ValueError unless the gate is positive
+    and finite.
     """
+    if not 0.0 < gate < np.inf:
+        raise ValueError(f"gate must be positive and finite, got {gate!r}")
     grid = instance.grid
     users = range(instance.stats.n_users) if users is None else users
     bins = _default_bins(grid) if bins is None else list(bins)

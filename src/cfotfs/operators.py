@@ -17,7 +17,8 @@ does not depend on the bin at all: chi_kappa_tables evaluates it once per
 path pair in closed form over (..., L) PathSet arrays (every AP of a user
 at once), and the dense per-bin chi_kappa stays as its reference. A path
 enters the dense constructors as two numbers: its integer delay tap and
-its Doppler k+kappa.
+its Doppler k+kappa, or as arrays of them: the Monte Carlo oracle builds
+a link's L operators with one dd_operator call.
 
 dd_operator assembles T from its structure rather than multiplying the
 three MN x MN factors: an integer delay tap is an exact shift of the
@@ -31,7 +32,6 @@ check of the closed form.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,9 +46,10 @@ def dft_matrix(n: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
 
 
-def dd_operator(delay_tap: int, doppler: float, grid: OtfsGrid) -> np.ndarray:
-    """Dense MN x MN matrix of one path's action on the DD grid, for a
-    path with integer delay tap l and Doppler k+kappa.
+def dd_operator(delay_tap, doppler, grid: OtfsGrid) -> np.ndarray:
+    """Dense MN x MN matrices of paths' action on the DD grid, for integer
+    delay taps l and Dopplers k+kappa that broadcast to one shape S (a
+    scalar pair for one path); returns an (S, MN, MN) array.
 
     Built block by block from the definition of T alone. F_N kron I_M
     leaves the delay coordinate alone, and P^l moves delay column c2 to
@@ -56,31 +57,33 @@ def dd_operator(delay_tap: int, doppler: float, grid: OtfsGrid) -> np.ndarray:
     delay column c2 holds a single N x N block, F_N S_c2 diag(z^(j1*M +
     c2)) F_N^H over Doppler indices j1, where S_c2 is that carry's cyclic
     shift, and every other block of the column is zero. This costs
-    O(M N^3 + (MN)^2) instead of two MN x MN products, and it uses only
-    the definition of T, not the closed-form (chi, kappa) algebra it is
-    meant to check. Raises ValueError for a delay tap that is not an
-    integer in [0, M) and for a Doppler that is not finite.
+    O(M N^3 + (MN)^2) per path instead of two MN x MN products, and it
+    uses only the definition of T, not the closed-form (chi, kappa)
+    algebra it is meant to check. Raises ValueError for a delay tap that
+    is not an integer in [0, M) and for a Doppler that is not finite.
     """
     m, n = grid.delay_bins, grid.doppler_bins
     mn = m * n
-    if not isinstance(delay_tap, numbers.Integral):
+    taps, doppler = np.broadcast_arrays(delay_tap, np.asarray(doppler, float))
+    if not np.issubdtype(taps.dtype, np.integer):
         raise ValueError(f"delay tap must be an integer, got {delay_tap!r}")
-    if not 0 <= delay_tap < m:
+    if np.any((taps < 0) | (taps >= m)):
         raise ValueError("delay tap outside grid")
-    if not np.isfinite(doppler):
+    if not np.all(np.isfinite(doppler)):
         raise ValueError(f"Doppler must be finite, got {doppler!r}")
-    # phases[c2, j1] = z^((k+kappa)(j1*M + c2)): the diagonal of D.
-    phases = np.exp(2j * np.pi * doppler * np.arange(mn) / mn).reshape(n, m).T
+    # phases[s, c2, j1] = z^((k+kappa)(j1*M + c2)): the diagonal of D.
+    phases = np.exp(2j * np.pi * doppler.reshape(-1, 1) * np.arange(mn) / mn)
+    phases = phases.reshape(-1, n, m).swapaxes(1, 2)
     delays = np.arange(m)
-    carry = delays + delay_tap >= m
+    shifted = delays + taps.reshape(-1, 1)
     f = dft_matrix(n)
     # S_c2 diag(w) maps Doppler index j1 to (j1 + carry) mod N, so the
     # block's left factor is F_N with its columns rolled by the carry.
-    left = np.where(carry[:, None, None], np.roll(f, -1, axis=1), f)
-    blocks = (left * phases[:, None, :]) @ f.conj().T
-    out = np.zeros((n, m, n, m), dtype=complex)
-    out[:, (delays + delay_tap) % m, :, delays] = blocks
-    return out.reshape(mn, mn)
+    left = np.where(shifted[..., None, None] >= m, np.roll(f, -1, axis=1), f)
+    blocks = (left * phases[:, :, None, :]) @ f.conj().T
+    out = np.zeros((len(shifted), n, m, n, m), dtype=complex)
+    out[np.arange(len(shifted))[:, None], :, shifted % m, :, delays] = blocks
+    return out.reshape(taps.shape + (mn, mn))
 
 
 def chi_kappa(path_i: tuple, path_j: tuple, r: int, grid: OtfsGrid):
@@ -160,21 +163,20 @@ def verify_operator_identities(paths: PathSet, grid: OtfsGrid,
     for pairs whose delay taps differ modulo M; and the largest deviation
     of any squared row-sum magnitude of T_i T_j^H from one. Raises
     IdentityCheckError naming the violated property if any deviation
-    exceeds tol. Building the operators is cheap; the checks are not:
-    they hold every path's MN x MN operator at once and cost L (MN)^3 for
-    unitarity, so memory bounds the grid. 10 paths at MN = 1024 take
-    about 2.7 s and 240 MB peak RSS on one BLAS thread.
+    exceeds tol, and ValueError unless tol is positive and finite.
+    Building the operators is cheap; the checks are not: they hold every
+    path's MN x MN operator at once and cost L (MN)^3 for unitarity, so
+    memory bounds the grid. 10 paths at MN = 1024 take about 2.7 s and
+    240 MB peak RSS on one BLAS thread.
     """
     if paths.delay_taps.ndim != 1:
         raise ValueError("verify_operator_identities takes one link's (L,) "
                          f"paths, got shape {paths.delay_taps.shape}")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     m = grid.delay_bins
-    mn = grid.size
-    # Filled in place: stacking a list would hold every operator twice.
-    mats = np.empty((paths.n_paths, mn, mn), dtype=complex)
-    for k, doppler in enumerate(paths.doppler()):
-        mats[k] = dd_operator(paths.delay_taps[k], doppler, grid)
-    eye = np.eye(mn)
+    mats = dd_operator(paths.delay_taps, paths.doppler(), grid)
+    eye = np.eye(grid.size)
     unit_dev = max(
         float(np.max(np.abs(t @ t.conj().T - eye))) for t in mats
     )

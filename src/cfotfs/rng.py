@@ -29,15 +29,6 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def sample_cn(rng: np.random.Generator, variance, size=None) -> np.ndarray:
-    """Circularly-symmetric complex normal samples with the given variance:
-    every real part is drawn, then every imaginary part."""
-    variance = np.asarray(variance, dtype=float)
-    shape = variance.shape if size is None else size
-    return cn_from_normals(variance, rng.standard_normal(shape),
-                           rng.standard_normal(shape))
-
-
 def cn_from_normals(variance, re, im) -> np.ndarray:
     """Complex normal values of the given variance from standard normal
     real and imaginary parts."""

@@ -89,7 +89,7 @@ def explicit_terms(instance, q, r, trials, seed):
         g = np.zeros((n_users, per_batch, grid.size), dtype=complex)
         for p in range(n_aps):
             draws = [sample_estimate(stats.beta[p, k], stats.gamma[p, k], rng,
-                                     size=(per_batch, n_paths))
+                                     trials=per_batch)
                      for k in range(n_users)]
             h_true = np.einsum("ti,iab->tab", draws[q][0], ops[p, q])
             for k, (_, h_hat) in enumerate(draws):

@@ -152,6 +152,31 @@ def test_config_value_of_wrong_type_rejected(tmp_path, capsys, section, key,
     assert not out.exists()
 
 
+def _without(key):
+    data = experiments.config_to_dict(experiments.desk_preset())
+    del data[key]
+    return data
+
+
+@pytest.mark.parametrize("data, message", [
+    (_without("network"), "config lacks required key(s): network"),
+    (_without("grid"), "config lacks required key(s): grid"),
+    ({**_without("network"), "network": {"num_aps": 4}},
+     "config lacks required key(s): network.num_users"),
+    ([1, 2], "config must be an object, got [1, 2]"),
+], ids=["network", "grid", "num_users", "top-level-list"])
+def test_config_missing_key_named(tmp_path, capsys, data, message):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(data))
+    out = tmp_path / "cdf.csv"
+    rc = cli.main(["run-cdf", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cfotfs: error: {message}")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags, field", [(["--seed", "-1"], "seed"),
                                           (["--workers", "0"], "workers")])
 def test_bad_override_rejected_before_running(tmp_path, capsys, flags, field):
@@ -201,6 +226,12 @@ def test_count_below_one_rejected_before_running(tmp_path, monkeypatch,
     # No instance: nothing would be checked.
     (["validate", "--instances", "0"], "--instances must be at least 1"),
     (["validate", "--instances", "-2"], "--instances must be at least 1"),
+    (["validate", "--gate", "-1"], "gate must be positive and finite"),
+    (["validate", "--gate", "nan"], "gate must be positive and finite"),
+    (["validate", "--seed", "-1"], "--seed must be non-negative"),
+    (["check-identities", "--tol", "nan"], "tol must be positive and finite"),
+    (["check-identities", "--tol", "-1"], "tol must be positive and finite"),
+    (["check-identities", "--seed", "-1"], "--seed must be non-negative"),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys,
                                          argv, message):

@@ -149,18 +149,18 @@ class TestMmseCoeff:
 
 class TestSampleEstimate:
     def test_perfect_csi_corner(self):
-        h, h_hat = sample_estimate(0.5, 0.5, seed=0, size=100)
+        h, h_hat = sample_estimate(0.5, 0.5, seed=0, trials=100)
         np.testing.assert_allclose(h, h_hat)
         assert np.mean(np.abs(h_hat) ** 2) == pytest.approx(0.5, rel=0.5)
 
     def test_zero_gamma_gives_zero_estimate(self):
-        h, h_hat = sample_estimate(0.5, 0.0, seed=0, size=100)
+        h, h_hat = sample_estimate(0.5, 0.0, seed=0, trials=100)
         np.testing.assert_allclose(h_hat, 0.0)
         assert np.mean(np.abs(h) ** 2) > 0
 
     def test_moments(self):
         beta, gamma = 1.3, 0.4
-        h, h_hat = sample_estimate(beta, gamma, seed=1, size=10_000)
+        h, h_hat = sample_estimate(beta, gamma, seed=1, trials=10_000)
         err = h - h_hat
         cross = np.mean(h_hat * np.conj(err))
         se = np.sqrt(gamma * (beta - gamma)) / np.sqrt(h.size)
@@ -170,6 +170,25 @@ class TestSampleEstimate:
     def test_invalid_statistics(self):
         with pytest.raises(EstimateStatisticsError):
             sample_estimate(0.5, 0.6, seed=0)
+
+    def test_network_call_matches_per_link_calls(self):
+        # One (2, 3, L) call draws what six per-link calls on one shared
+        # Generator draw in row-major (AP, user) order, bit for bit.
+        rng = np.random.default_rng(4)
+        beta = rng.uniform(0.1, 1.0, size=(2, 3, 4))
+        gamma = beta * rng.uniform(0.0, 1.0, size=beta.shape)
+        h, h_hat = sample_estimate(beta, gamma, seed=7, trials=5)
+        assert h.shape == h_hat.shape == (2, 3, 5, 4)
+        shared = np.random.default_rng(7)
+        for link in np.ndindex(2, 3):
+            h_link, h_hat_link = sample_estimate(beta[link], gamma[link],
+                                                 shared, trials=5)
+            assert h_link.tobytes() == h[link].tobytes()
+            assert h_hat_link.tobytes() == h_hat[link].tobytes()
+
+    def test_scalar_statistics_give_one_sample_per_trial(self):
+        h, h_hat = sample_estimate(0.5, 0.2, seed=0, trials=6)
+        assert h.shape == h_hat.shape == (6,)
 
 
 class TestComputeLinkStats:

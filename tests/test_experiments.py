@@ -41,6 +41,12 @@ class TestNoisePower:
         with pytest.raises(ValueError):
             experiments.noise_power_w(grid, -1.0)
 
+    @pytest.mark.parametrize("figure", [-1.0, np.nan])
+    def test_power_params_reject_negative_figure(self, figure):
+        # Rejected when the powers are built, not inside realization 0.
+        with pytest.raises(ValueError, match="noise figure must be non-negative"):
+            experiments.PowerParams(noise_figure_db=figure)
+
 
 class TestSummaryStats:
     def test_linear_interpolation_convention(self):

@@ -51,6 +51,23 @@ def three_user_instance():
                          fractional=True)
 
 
+def test_random_instance_runs_the_experiment_stages(monkeypatch):
+    # The instance comes from experiments.realize_links, so a stage
+    # replaced there (as the benchmark's tracer does) is the one it runs,
+    # per-AP load check included.
+    loads = []
+    original = experiments.power_constraint_load
+
+    def recorded(*args):
+        loads.append(original(*args))
+        return loads[-1]
+
+    monkeypatch.setattr(experiments, "power_constraint_load", recorded)
+    desk_instance(3)
+    assert len(loads) == 1
+    np.testing.assert_allclose(loads[0], 1.0, rtol=0, atol=1e-12)
+
+
 class TestEstimateTerms:
     def test_perfect_csi_single_path_bu(self):
         # gamma = beta: the error vanishes and the precoding-gain variance
@@ -149,15 +166,15 @@ class TestEstimateTerms:
         # Each link's operators are built once, user q's link included.
         inst = three_user_instance()
         original = montecarlo.dd_operator
-        calls = []
+        built = []
 
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
+        def counted(delay_taps, doppler, grid):
+            built.append(np.size(delay_taps))
+            return original(delay_taps, doppler, grid)
 
         monkeypatch.setattr(montecarlo, "dd_operator", counted)
         estimate_terms(inst, q=1, r=13, trials=100, seed=1)
-        assert len(calls) == inst.pathsets.delay_taps.size
+        assert sum(built) == inst.pathsets.delay_taps.size
 
     def test_estimate_above_gain_variance_rejected(self):
         grid = OtfsGrid(doppler_bins=2, delay_bins=2)
@@ -199,6 +216,11 @@ class TestValidateRate:
         report = validate_rate(inst, trials=4000, seed=4)
         assert report.passed, report.to_dict()
         assert report.max_rel_error <= report.gate
+
+    @pytest.mark.parametrize("gate", [np.nan, -1.0, 0.0, np.inf])
+    def test_gate_must_be_positive_and_finite(self, gate):
+        with pytest.raises(ValueError, match="gate must be positive and finite"):
+            validate_rate(desk_instance(7), trials=20, seed=4, gate=gate)
 
     def test_distinct_delay_bins_statistically_flat(self):
         inst = desk_instance(11, distinct_delays=True)

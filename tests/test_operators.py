@@ -54,6 +54,17 @@ class TestDdOperator:
                 brute_force_operator(delay, doppler, m, n), rtol=0,
                 atol=1e-12, err_msg=f"delay tap {delay}")
 
+    def test_array_of_paths_matches_scalar_calls(self):
+        # Taps near M carry a Doppler step past the last delay bin.
+        grid = OtfsGrid(doppler_bins=4, delay_bins=5)
+        taps = np.array([[0, 4, 3], [1, 4, 2]])
+        doppler = np.array([[0.0, -1.3, 0.49], [2.0, 0.21, -0.4]])
+        stack = dd_operator(taps, doppler, grid)
+        assert stack.shape == (2, 3, grid.size, grid.size)
+        for index in np.ndindex(taps.shape):
+            one = dd_operator(int(taps[index]), float(doppler[index]), grid)
+            assert one.tobytes() == stack[index].tobytes()
+
     def test_non_integer_delay_tap_rejected(self):
         with pytest.raises(ValueError, match="delay tap must be an integer"):
             dd_operator(1.5, 0.0, OtfsGrid(4, 8))
@@ -310,6 +321,12 @@ class TestIdentityChecks:
         ps = make_pathset([1], [0])
         with pytest.raises(IdentityCheckError, match="unitarity"):
             verify_operator_identities(ps, grid, tol=1e-30)
+
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        grid = OtfsGrid(doppler_bins=2, delay_bins=2)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            verify_operator_identities(make_pathset([1], [0]), grid, tol=tol)
 
     def test_batched_paths_rejected(self):
         grid = OtfsGrid(4, 4)
