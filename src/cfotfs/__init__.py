@@ -10,7 +10,7 @@ from .exceptions import (DistinctDelayError, EstimateStatisticsError,
                          InfeasibleConfigError, PowerControlError)
 from .geometry import (Layout, NetworkConfig, apply_shadowing, path_loss_db,
                        place_network, wrapped_distance)
-from .operators import (chi_kappa, chi_kappa_tables, dd_operator,
+from .operators import (chi_kappa_tables, dd_operator,
                         verify_operator_identities)
 from .rate import (PowerControl, RateReport, achievable_rate,
                    equal_power_control, power_constraint_load,

@@ -49,61 +49,42 @@ class OtfsGrid:
 @dataclass(slots=True)
 class PathSet:
     """Paths of one link (arrays shaped (L,)) or of a batch of links
-    (shaped (..., L), e.g. (AP, user, path)). Read a path through the
-    arrays: paths.delay_taps[p, q, i] is path i of link (p, q)."""
+    (shaped (..., L), e.g. (AP, user, path)), as sample_all_paths draws
+    them: integer delay taps, Dopplers k + kappa in units of the Doppler
+    resolution (the integer tap plus its fraction) and complex gains.
+    Read a path through the arrays: paths.doppler[p, q, i] is path i of
+    link (p, q)."""
 
     delay_taps: np.ndarray
-    doppler_taps: np.ndarray
-    frac_dopplers: np.ndarray
-    variances: np.ndarray
+    doppler: np.ndarray
     gains: np.ndarray
 
     def __post_init__(self):
         self.delay_taps = np.asarray(self.delay_taps, dtype=int)
-        self.doppler_taps = np.asarray(self.doppler_taps, dtype=int)
-        self.frac_dopplers = np.asarray(self.frac_dopplers, dtype=float)
-        self.variances = np.asarray(self.variances, dtype=float)
+        self.doppler = np.asarray(self.doppler, dtype=float)
         self.gains = np.asarray(self.gains, dtype=complex)
         shape = self.delay_taps.shape
         if not shape or shape[-1] < 1:
             raise ValueError("a path set needs a path axis with at least one path")
-        for arr in (self.doppler_taps, self.frac_dopplers, self.variances, self.gains):
-            if arr.shape != shape:
-                raise ValueError("path arrays must have equal shapes")
-        if not np.all(np.isfinite(self.variances) & (self.variances > 0)):
-            raise ValueError("path variances must be positive and finite")
-        if not np.all(np.abs(self.frac_dopplers) < 0.5):
-            raise ValueError("fractional Doppler must lie strictly in (-0.5, 0.5)")
-
-    @property
-    def n_paths(self) -> int:
-        return self.delay_taps.shape[-1]
-
-    def doppler(self, links=...) -> np.ndarray:
-        """Doppler of every path in units of the Doppler resolution, the
-        integer tap plus its fraction, over the selected links (all by
-        default): paths.doppler(np.s_[:, q]) covers every AP of user q."""
-        return self.doppler_taps[links] + self.frac_dopplers[links]
+        if self.doppler.shape != shape or self.gains.shape != shape:
+            raise ValueError("path arrays must have equal shapes")
+        if not np.all(np.isfinite(self.doppler)):
+            raise ValueError("path Dopplers must be finite")
 
     # Iteration yields one-link views, rows then links. Nothing in the
     # library iterates; it stays for the benchmark's path_pair_counts,
     # which walks a network this way until the benchmark revision
-    # (ROADMAP item 4) reads delay_taps directly.
+    # (ROADMAP item 5) reads delay_taps directly.
     def __iter__(self):
-        return map(_view, zip(*self._link_arrays()))
-
-    def _link_arrays(self) -> tuple:
         if self.delay_taps.ndim < 2:
             raise IndexError("a single link has no link axis to iterate")
-        return (self.delay_taps, self.doppler_taps, self.frac_dopplers,
-                self.variances, self.gains)
+        return map(_view, self.delay_taps, self.doppler, self.gains)
 
 
-def _view(arrays) -> PathSet:
+def _view(delay_taps, doppler, gains) -> PathSet:
     """PathSet over validated array slices, skipping the validation."""
     paths = object.__new__(PathSet)
-    (paths.delay_taps, paths.doppler_taps, paths.frac_dopplers,
-     paths.variances, paths.gains) = arrays
+    paths.delay_taps, paths.doppler, paths.gains = delay_taps, doppler, gains
     return paths
 
 
@@ -119,46 +100,48 @@ def max_doppler_index(speed_kmh: float, grid: OtfsGrid) -> int:
     return int(math.ceil(nu_max / grid.doppler_resolution_hz))
 
 
-def sample_all_paths(beta_pair, n_paths: int, l_max: int, k_max: int,
-                     grid: OtfsGrid, seed=None, *, fractional: bool = True,
+def sample_all_paths(variances, l_max: int, k_max: int, grid: OtfsGrid,
+                     seed=None, *, fractional: bool = True,
                      distinct_delays: bool = False) -> PathSet:
-    """Draw the path sets of every link of beta_pair (any shape: (P, Q)
-    for a network, 0-d for one link) as one PathSet shaped
-    beta_pair.shape + (n_paths,).
+    """Draw the paths of every link as one PathSet shaped like variances,
+    the per-path gain variances shaped (..., L): (P, Q, L) for a network,
+    (L,) for one link.
 
     Delay taps are uniform on {0..l_max} (a random subset without
     repetition when distinct_delays is set), Doppler taps uniform on
-    {-k_max..k_max}, and fractional Doppler uniform on (-0.5, 0.5) when
-    enabled. Each path carries beta/n_paths of its link's power, and its
-    gain is complex normal with that variance.
+    {-k_max..k_max}, and fractional Doppler uniform on [-0.5, 0.5) when
+    enabled; a path's Doppler is its tap plus its fraction. Each gain is
+    complex normal with its path's variance.
 
     Links are drawn one after another in row-major order, each with three
     generator calls into preallocated arrays: its delay and Doppler taps
     (one array-bounded integers call, or a choice and an integers call
-    for distinct delays), its fractions and its 2 x n_paths standard
-    normals, real parts first. The fractions are shifted and the gains
-    assembled once for the whole network afterwards. This is the same
-    stream as drawing delays, Doppler taps, uniform(-0.5, 0.5) fractions
-    and the real and imaginary normals with one call each, bit for bit.
+    for distinct delays), its fractions and its 2 x L standard normals,
+    real parts first. The fractions are shifted, added to the taps and
+    the gains assembled once for the whole network afterwards. This is
+    the same stream as drawing delays, Doppler taps, uniform(-0.5, 0.5)
+    fractions and the real and imaginary normals with one call each, bit
+    for bit.
     """
-    beta_pair = np.asarray(beta_pair, dtype=float)
-    if n_paths < 1:
-        raise ValueError("need at least one path")
-    if not np.all(np.isfinite(beta_pair) & (beta_pair > 0)):
-        raise ValueError("beta_pair must be positive and finite")
+    variances = np.asarray(variances, dtype=float)
+    if variances.ndim < 1 or variances.shape[-1] < 1:
+        raise ValueError("variances need a path axis with at least one path, "
+                         f"got shape {variances.shape}")
+    if not np.all(np.isfinite(variances) & (variances > 0)):
+        raise ValueError("path variances must be positive and finite")
     if not 0 <= l_max <= grid.delay_bins - 1:
         raise ValueError("l_max must lie in [0, delay_bins - 1]")
     k_bound = max(grid.doppler_bins // 2 - 1, 0)
     if not 0 <= k_max <= k_bound:
         raise ValueError(f"k_max must lie in [0, {k_bound}] for this grid")
+    shape = variances.shape
+    n_paths = shape[-1]
     if distinct_delays and n_paths > l_max + 1:
         raise InfeasibleConfigError(
             f"cannot draw {n_paths} distinct delay taps from [0, {l_max}]")
 
     rng = as_rng(seed)
-    shape = beta_pair.shape + (n_paths,)
-    n_links = beta_pair.size
-    variances = np.repeat(beta_pair[..., None] / n_paths, n_paths, axis=-1)
+    n_links = variances.size // n_paths
     # Delay row then Doppler row of every link; bounds of both rows.
     taps = np.empty((2, n_links, n_paths), dtype=int)
     low = np.repeat([[0], [-k_max]], n_paths, axis=1)
@@ -176,8 +159,7 @@ def sample_all_paths(beta_pair, n_paths: int, l_max: int, k_max: int,
         rng.standard_normal(out=normals[i])
     if fractional:
         fracs -= 0.5  # uniform(-0.5, 0.5) is -0.5 + 1.0 * random()
-    delays, dopplers = taps.reshape((2,) + shape)
+    delays, k = taps.reshape((2,) + shape)  # k: integer Doppler taps
     re, im = normals.swapaxes(0, 1).reshape((2,) + shape)
-    return PathSet(delay_taps=delays, doppler_taps=dopplers,
-                   frac_dopplers=fracs.reshape(shape), variances=variances,
+    return PathSet(delay_taps=delays, doppler=k + fracs.reshape(shape),
                    gains=cn_from_normals(variances, re, im))

@@ -16,6 +16,8 @@ import sys
 import time
 from dataclasses import replace
 
+import numpy as np
+
 from . import experiments, montecarlo
 from .channel import OtfsGrid, sample_all_paths
 from .exceptions import IdentityCheckError
@@ -123,8 +125,11 @@ def cmd_validate(args) -> int:
 
 def cmd_check_identities(args) -> int:
     _check_seed(args)
+    if args.paths < 1:
+        raise ValueError(f"--paths must be at least 1, got {args.paths}")
     grid = OtfsGrid(doppler_bins=args.doppler_bins, delay_bins=args.delay_bins)
-    paths = sample_all_paths(1.0, args.paths, grid.delay_bins - 1,
+    # Unit-variance paths: the identities read taps and Dopplers only.
+    paths = sample_all_paths(np.ones(args.paths), grid.delay_bins - 1,
                              max(grid.doppler_bins // 2 - 1, 0), grid,
                              args.seed)
     try:

@@ -100,11 +100,13 @@ def compute_link_stats(beta_paths: np.ndarray, k_max: int, k_hat: int,
 
 
 def check_estimate_variances(beta, gamma) -> None:
-    """Raise EstimateStatisticsError unless 0 <= gamma <= beta (to 1e-12
-    relative) everywhere."""
-    if np.any(gamma < 0) or np.any(gamma > beta * (1 + 1e-12)):
+    """Raise EstimateStatisticsError unless beta is finite and
+    0 <= gamma <= beta (to 1e-12 relative) everywhere, which also rejects
+    a NaN or infinite gamma."""
+    if not np.all(np.isfinite(beta) & (gamma >= 0)
+                  & (gamma <= beta * (1 + 1e-12))):
         raise EstimateStatisticsError(
-            "estimate variance must satisfy 0 <= gamma <= beta")
+            "estimate variance must satisfy 0 <= gamma <= beta, both finite")
 
 
 def sample_estimate(beta, gamma, seed=None, trials=1):

@@ -50,6 +50,10 @@ class ChannelParams:
     fractional: bool = True
     distinct_delays: bool = False
 
+    def __post_init__(self):
+        if self.n_paths < 1:
+            raise ValueError(f"need at least one path, got {self.n_paths}")
+
 
 @dataclass
 class PowerParams:
@@ -209,11 +213,14 @@ def realize_links(net: NetworkConfig, grid: OtfsGrid, channel: ChannelParams,
     """
     beta = apply_shadowing(place_network(net, rng), net, rng,
                            correlated=correlated)
+    # Each path carries 1/L of its link's large-scale gain.
+    variances = np.repeat(beta[..., None] / channel.n_paths, channel.n_paths,
+                          axis=-1)
     paths = sample_all_paths(
-        beta, channel.n_paths, channel.l_max, channel.k_max, grid, rng,
+        variances, channel.l_max, channel.k_max, grid, rng,
         fractional=channel.fractional,
         distinct_delays=channel.distinct_delays)
-    stats = compute_link_stats(paths.variances, channel.k_max, channel.k_hat,
+    stats = compute_link_stats(variances, channel.k_max, channel.k_hat,
                                rho_p, rho_u, grid)
     pc = equal_power_control(stats)
     load = power_constraint_load(stats, pc)

@@ -124,10 +124,10 @@ def estimate_terms(instance: ValidationInstance, q: int, r: int, trials: int,
 
     # rows[q', p, i, j] = T_pq,i[r, :] T_pq',j^H, one link's operators at a time.
     rows = np.empty((n_users, n_aps, n_paths, n_paths, grid.size), dtype=complex)
-    doppler = paths.doppler()
     for p in range(n_aps):
         for k in [q] + [k for k in range(n_users) if k != q]:
-            ops = dd_operator(paths.delay_taps[p, k], doppler[p, k], grid)
+            ops = dd_operator(paths.delay_taps[p, k], paths.doppler[p, k],
+                              grid)
             if k == q:
                 row_r = ops[:, r, :].conj()
             rows[k, p] = (row_r @ ops.reshape(-1, grid.size).T).reshape(

@@ -9,16 +9,15 @@ with z = exp(j2pi/MN), and D is raised to the real power k+kappa
 elementwise. Bin index r splits as r = r1*M + r2 with r1 the Doppler and
 r2 the delay coordinate.
 
-The module provides dense constructors for validation, the per-bin
-coefficient pair (chi, kappa) that weights beamforming uncertainty and
-inter-symbol interference in the closed-form SINR, and numerical checks
-of the three operator identities the rate analysis relies on. The pair
-does not depend on the bin at all: chi_kappa_tables evaluates it once per
-path pair in closed form over (..., L) PathSet arrays (every AP of a user
-at once), and the dense per-bin chi_kappa stays as its reference. A path
-enters the dense constructors as two numbers: its integer delay tap and
-its Doppler k+kappa, or as arrays of them: the Monte Carlo oracle builds
-a link's L operators with one dd_operator call.
+The module provides dense constructors for validation, the coefficient
+pair (chi, kappa) that weights beamforming uncertainty and inter-symbol
+interference in the closed-form SINR, and numerical checks of the three
+operator identities the rate analysis relies on. The pair does not
+depend on the bin at all: chi_kappa_tables evaluates it once per path
+pair in closed form over (..., L) PathSet arrays (every AP of a user at
+once). A path enters the dense constructors as two numbers: its integer
+delay tap and its Doppler k+kappa, or as arrays of them: the Monte Carlo
+oracle builds a link's L operators with one dd_operator call.
 
 dd_operator assembles T from its structure rather than multiplying the
 three MN x MN factors: an integer delay tap is an exact shift of the
@@ -84,24 +83,6 @@ def dd_operator(delay_tap, doppler, grid: OtfsGrid) -> np.ndarray:
     out = np.zeros((len(shifted), n, m, n, m), dtype=complex)
     out[np.arange(len(shifted))[:, None], :, shifted % m, :, delays] = blocks
     return out.reshape(taps.shape + (mn, mn))
-
-
-def chi_kappa(path_i: tuple, path_j: tuple, r: int, grid: OtfsGrid):
-    """Squared diagonal entry and squared off-diagonal row sum of
-    T_i T_j^H at bin r, for paths given as (delay tap, Doppler) pairs.
-
-    chi weights the precoding-gain uncertainty and kappa the inter-symbol
-    interference contributed by the (i, j) path pair. A path paired with
-    itself gives (1, 0) since its operator is unitary.
-    """
-    if not 0 <= r < grid.size:
-        raise ValueError("bin index outside grid")
-    if path_i == path_j:
-        return 1.0, 0.0
-    row = dd_operator(*path_i, grid)[r, :] @ dd_operator(*path_j, grid).conj().T
-    diag = row[r]
-    off = row.sum() - diag
-    return float(abs(diag) ** 2), float(abs(off) ** 2)
 
 
 def chi_kappa_tables(delay_taps, doppler, doppler_bins: int):
@@ -175,7 +156,7 @@ def verify_operator_identities(paths: PathSet, grid: OtfsGrid,
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     m = grid.delay_bins
-    mats = dd_operator(paths.delay_taps, paths.doppler(), grid)
+    mats = dd_operator(paths.delay_taps, paths.doppler, grid)
     eye = np.eye(grid.size)
     unit_dev = max(
         float(np.max(np.abs(t @ t.conj().T - eye))) for t in mats

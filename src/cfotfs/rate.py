@@ -98,7 +98,7 @@ def closed_form_terms(q: int, r: int, stats: LinkStats, pc: PowerControl,
     check_index("user", q, stats.n_users)
     links = np.s_[:, q]
     chi, kappa = chi_kappa_tables(pathsets.delay_taps[links],
-                                  pathsets.doppler(links), grid.doppler_bins)
+                                  pathsets.doppler[links], grid.doppler_bins)
     return _user_terms(q, stats, pc, chi, kappa)
 
 

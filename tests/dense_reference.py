@@ -1,14 +1,15 @@
 """Dense references the tests compare the library against: the literal
-path operator F P^l D F^H, the per-bin closed-form SINR built from the
-dense per-bin chi_kappa, independent of the batched coefficient tables the
-rate module uses, and the Monte Carlo terms computed from explicit
-MN x MN channel matrices built from the literal operators."""
+path operator F P^l D F^H, the per-bin (chi, kappa) pair read off dense
+operator products, the per-bin closed-form SINR built from it,
+independent of the batched coefficient tables the rate module uses, and
+the Monte Carlo terms computed from explicit MN x MN channel matrices
+built from the literal operators."""
 
 import numpy as np
 
 from cfotfs.estimation import sample_estimate
 from cfotfs.montecarlo import BATCHES
-from cfotfs.operators import chi_kappa
+from cfotfs.operators import dd_operator
 from cfotfs.rng import substream
 
 
@@ -39,6 +40,24 @@ def brute_force_operator(delay, doppler_exp, m, n):
     return kron @ perm_pow @ delta @ kron.conj().T
 
 
+def chi_kappa(path_i: tuple, path_j: tuple, r: int, grid):
+    """Squared diagonal entry and squared off-diagonal row sum of
+    T_i T_j^H at bin r, for paths given as (delay tap, Doppler) pairs.
+
+    chi weights the precoding-gain uncertainty and kappa the inter-symbol
+    interference contributed by the (i, j) path pair. A path paired with
+    itself gives (1, 0) since its operator is unitary.
+    """
+    if not 0 <= r < grid.size:
+        raise ValueError("bin index outside grid")
+    if path_i == path_j:
+        return 1.0, 0.0
+    row = dd_operator(*path_i, grid)[r, :] @ dd_operator(*path_j, grid).conj().T
+    diag = row[r]
+    off = row.sum() - diag
+    return float(abs(diag) ** 2), float(abs(off) ** 2)
+
+
 def per_bin_sinr(q, stats, pc, pathsets, rho_d, grid):
     """SINR of user q at every DD bin (length MN), each bin's
     beamforming-uncertainty and inter-symbol powers weighted by that
@@ -46,9 +65,8 @@ def per_bin_sinr(q, stats, pc, pathsets, rho_d, grid):
     eta, beta, gamma = pc.eta, stats.beta, stats.gamma
     bu = np.zeros(grid.size)
     isi = np.zeros(grid.size)
-    doppler = pathsets.doppler()
     for p in range(stats.n_aps):
-        paths = list(zip(pathsets.delay_taps[p, q], doppler[p, q]))
+        paths = list(zip(pathsets.delay_taps[p, q], pathsets.doppler[p, q]))
         coeffs = np.array([[[chi_kappa(path_i, path_j, r, grid)
                              for r in range(grid.size)]
                             for path_j in paths] for path_i in paths])
@@ -77,11 +95,10 @@ def explicit_terms(instance, q, r, trials, seed):
     per_batch = trials // BATCHES
     ops = np.empty((n_aps, n_users, n_paths, grid.size, grid.size),
                    dtype=complex)
-    doppler = paths.doppler()
     for index in np.ndindex(n_aps, n_users, n_paths):
         ops[index] = brute_force_operator(paths.delay_taps[index],
-                                          doppler[index], grid.delay_bins,
-                                          grid.doppler_bins)
+                                          paths.doppler[index],
+                                          grid.delay_bins, grid.doppler_bins)
     ds_b = np.zeros(BATCHES, dtype=complex)
     bu_b, isi_b, iui_b = np.zeros((3, BATCHES))
     for b in range(BATCHES):

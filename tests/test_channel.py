@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,8 +11,7 @@ from cfotfs.exceptions import InfeasibleConfigError
 
 PAPER_GRID = OtfsGrid(doppler_bins=20, delay_bins=30, delta_f_hz=15e3,
                       carrier_hz=4e9)
-FIELDS = ("delay_taps", "doppler_taps", "frac_dopplers", "variances",
-          "gains")
+FIELDS = ("delay_taps", "doppler", "gains")
 
 
 class TestGrid:
@@ -40,34 +40,32 @@ class TestMaxDopplerIndex:
 
 class TestSamplePaths:
     def test_paper_config_ranges(self):
-        ps = sample_all_paths(1.0, 5, 2, 3, PAPER_GRID, seed=0)
-        assert ps.n_paths == 5
+        ps = sample_all_paths(np.full(5, 0.2), 2, 3, PAPER_GRID, seed=0)
+        assert ps.delay_taps.shape == ps.doppler.shape == (5,)
         assert np.all((ps.delay_taps >= 0) & (ps.delay_taps <= 2))
-        assert np.all((ps.doppler_taps >= -3) & (ps.doppler_taps <= 3))
-        assert np.all(np.abs(ps.frac_dopplers) < 0.5)
+        # Tap in {-3..3} plus a fraction in (-0.5, 0.5).
+        assert np.all(np.abs(ps.doppler) < 3 + 0.5)
 
     def test_degenerate_single_path(self):
         grid = OtfsGrid(doppler_bins=2, delay_bins=2)
-        ps = sample_all_paths(1.0, 1, 0, 0, grid, seed=0,
+        ps = sample_all_paths(np.ones(1), 0, 0, grid, seed=0,
                               fractional=False)
         assert ps.delay_taps[0] == 0
-        assert ps.doppler_taps[0] == 0
-        assert ps.frac_dopplers[0] == 0.0
+        assert ps.doppler[0] == 0.0
 
     def test_total_power_converges_to_pair_beta(self):
         pair_beta = 0.7
         rng = np.random.default_rng(2)
-        draws = sample_all_paths(np.full(10_000, pair_beta), 4, 2, 3,
+        draws = sample_all_paths(np.full((10_000, 4), pair_beta / 4), 2, 3,
                                  PAPER_GRID, rng).gains
         total = np.mean(np.sum(np.abs(draws) ** 2, axis=1))
         assert total == pytest.approx(pair_beta, rel=0.03)
 
     def test_per_path_moments(self):
-        variances = sample_all_paths(1.0, 2, 2, 1, PAPER_GRID,
-                                     seed=7).variances
+        variances = np.array([0.5, 0.5])
         rng = np.random.default_rng(8)
-        draws = sample_all_paths(np.ones(10_000), 2, 2, 1, PAPER_GRID,
-                                 rng).gains
+        draws = sample_all_paths(np.tile(variances, (10_000, 1)), 2, 1,
+                                 PAPER_GRID, rng).gains
         # Per-path variance and real/imag split.
         var = np.mean(np.abs(draws) ** 2, axis=0)
         np.testing.assert_allclose(var, variances, rtol=0.05)
@@ -78,82 +76,87 @@ class TestSamplePaths:
         se = np.sqrt(variances[0] * variances[1] / len(draws))
         assert abs(cross) < 3.0 * se
 
-    def test_uniform_profile_splits_pair_power(self):
-        ps = sample_all_paths(0.9, 3, 2, 1, PAPER_GRID, seed=3)
-        np.testing.assert_allclose(ps.variances, 0.3)
-        assert ps.variances.sum() == pytest.approx(0.9)
-
     def test_distinct_delays(self):
-        ps = sample_all_paths(1.0, 3, 2, 1, PAPER_GRID, seed=4,
+        ps = sample_all_paths(np.ones(3), 2, 1, PAPER_GRID, seed=4,
                               distinct_delays=True)
         assert len(np.unique(ps.delay_taps)) == 3
 
     def test_distinct_delays_infeasible(self):
         with pytest.raises(InfeasibleConfigError):
-            sample_all_paths(1.0, 4, 2, 1, PAPER_GRID, seed=4,
+            sample_all_paths(np.ones(4), 2, 1, PAPER_GRID, seed=4,
                              distinct_delays=True)
 
     def test_rejects_out_of_grid_taps(self):
         grid = OtfsGrid(doppler_bins=4, delay_bins=4)
         with pytest.raises(ValueError):
-            sample_all_paths(1.0, 2, 4, 0, grid, seed=0)
+            sample_all_paths(np.ones(2), 4, 0, grid, seed=0)
         with pytest.raises(ValueError):
-            sample_all_paths(1.0, 2, 2, 2, grid, seed=0)
+            sample_all_paths(np.ones(2), 2, 2, grid, seed=0)
 
     def test_zero_variance_rejected(self):
-        with pytest.raises(ValueError):
-            PathSet(delay_taps=[0], doppler_taps=[0], frac_dopplers=[0.0],
-                    variances=[0.0], gains=[0.0])
-        with pytest.raises(ValueError):
-            sample_all_paths(0.0, 2, 2, 1, PAPER_GRID, seed=0)
-        with pytest.raises(ValueError):
-            sample_all_paths(np.array([[1.0, 0.0]]), 2, 2, 1, PAPER_GRID,
-                             seed=0)
+        with pytest.raises(ValueError, match="variances"):
+            sample_all_paths(np.zeros(2), 2, 1, PAPER_GRID, seed=0)
+        with pytest.raises(ValueError, match="variances"):
+            sample_all_paths(np.array([[0.5, 0.5], [0.5, 0.0]]), 2, 1,
+                             PAPER_GRID, seed=0)
+
+    @pytest.mark.parametrize("variances", [1.0, np.ones((3, 0))])
+    def test_variances_need_a_path_axis(self, variances):
+        with pytest.raises(ValueError, match="need a path axis"):
+            sample_all_paths(variances, 2, 1, PAPER_GRID, seed=0)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_paths=st.integers(1, 6),
-           l_max=st.integers(0, 7), k_max=st.integers(0, 2))
-    def test_ranges_always_respected(self, seed, n_paths, l_max, k_max):
+           l_max=st.integers(0, 7), k_max=st.integers(0, 2),
+           fractional=st.booleans())
+    def test_ranges_always_respected(self, seed, n_paths, l_max, k_max,
+                                     fractional):
         grid = OtfsGrid(doppler_bins=8, delay_bins=8)
-        ps = sample_all_paths(1.0, n_paths, l_max, k_max, grid, seed=seed)
+        ps = sample_all_paths(np.full(n_paths, 1.0 / n_paths), l_max, k_max,
+                              grid, seed=seed, fractional=fractional)
         assert np.all((ps.delay_taps >= 0) & (ps.delay_taps <= l_max))
-        assert np.all(np.abs(ps.doppler_taps) <= k_max)
-        assert np.all(np.abs(ps.frac_dopplers) < 0.5)
-        assert np.all(ps.variances > 0)
+        assert np.all(np.abs(ps.doppler) < k_max + 0.5)
+        if not fractional:
+            np.testing.assert_array_equal(ps.doppler, np.round(ps.doppler))
+        assert np.all(np.isfinite(ps.gains))
+
+
+def equal_split(beta, n_paths):
+    """Per-path variances that split each link's beta into n_paths equal
+    shares, as experiments.realize_links forms them."""
+    return np.repeat(np.asarray(beta)[..., None] / n_paths, n_paths, axis=-1)
 
 
 def test_sample_all_paths_shape_and_stacking():
     beta = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    sets = sample_all_paths(beta, 2, 2, 1, PAPER_GRID, seed=10)
-    assert sets.n_paths == 2
+    sets = sample_all_paths(equal_split(beta, 2), 2, 1, PAPER_GRID, seed=10)
     assert [len(list(row)) for row in sets] == [2, 2, 2]
     for name in FIELDS:
         assert getattr(sets, name).shape == (3, 2, 2)
-    np.testing.assert_allclose(sets.variances.sum(axis=2), beta)
 
 
 def test_sample_all_paths_draws_links_in_row_major_order():
     # Pins the draw order. One link takes its delays, Doppler taps,
     # fractions and gains from the stream in that order ...
-    link = sample_all_paths(0.9, 3, 2, 3, PAPER_GRID,
+    link = sample_all_paths(np.full(3, 0.3), 2, 3, PAPER_GRID,
                             np.random.default_rng(11))
     ref = np.random.default_rng(11)
     np.testing.assert_array_equal(link.delay_taps, ref.integers(0, 3, 3))
-    np.testing.assert_array_equal(link.doppler_taps, ref.integers(-3, 4, 3))
-    np.testing.assert_array_equal(link.frac_dopplers,
-                                  ref.uniform(-0.5, 0.5, 3))
+    taps = ref.integers(-3, 4, 3)
+    np.testing.assert_array_equal(link.doppler,
+                                  taps + ref.uniform(-0.5, 0.5, 3))
     re, im = ref.standard_normal(3), ref.standard_normal(3)
     np.testing.assert_array_equal(link.gains,
-                                  np.sqrt(link.variances / 2) * (re + 1j * im))
+                                  np.sqrt(0.3 / 2) * (re + 1j * im))
     # ... and a (2, 3) batch equals six single-link draws taken row-major
     # from one shared Generator, bit for bit.
-    beta = np.array([[0.5, 1.0, 1.5], [2.0, 2.5, 3.0]])
+    variances = equal_split([[0.5, 1.0, 1.5], [2.0, 2.5, 3.0]], 3)
     for kwargs in ({}, {"distinct_delays": True, "fractional": False}):
-        batch = sample_all_paths(beta, 3, 2, 3, PAPER_GRID,
+        batch = sample_all_paths(variances, 2, 3, PAPER_GRID,
                                  np.random.default_rng(11), **kwargs)
         rng = np.random.default_rng(11)
         for p, q in np.ndindex(2, 3):
-            link = sample_all_paths(beta[p, q], 3, 2, 3, PAPER_GRID, rng,
+            link = sample_all_paths(variances[p, q], 2, 3, PAPER_GRID, rng,
                                     **kwargs)
             assert link.delay_taps.shape == (3,)
             for name in FIELDS:
@@ -168,9 +171,10 @@ def test_sample_all_paths_replays_five_call_stream(kwargs):
     # (delays, Doppler taps, fractions, real parts, imaginary parts),
     # written out. Three paths with k_max > 0 is an odd number of 32-bit
     # bounded draws per tap row, so PCG64's buffered half-word carries
-    # from one link into the next.
-    beta = np.array([[0.5, 1.0, 1.5], [2.0, 2.5, 3.0]])
-    batch = sample_all_paths(beta, 3, 2, 3, PAPER_GRID,
+    # from one link into the next. A path's Doppler is its tap plus its
+    # fraction, bit for bit.
+    variances = equal_split([[0.5, 1.0, 1.5], [2.0, 2.5, 3.0]], 3)
+    batch = sample_all_paths(variances, 2, 3, PAPER_GRID,
                              np.random.default_rng(11), **kwargs)
     rng = np.random.default_rng(11)
     for p, q in np.ndindex(2, 3):
@@ -178,16 +182,14 @@ def test_sample_all_paths_replays_five_call_stream(kwargs):
             delays = rng.choice(3, size=3, replace=False)
         else:
             delays = rng.integers(0, 3, size=3)
-        dopplers = rng.integers(-3, 4, size=3)
+        taps = rng.integers(-3, 4, size=3)
         if kwargs.get("fractional", True):
-            fracs = rng.uniform(-0.5, 0.5, size=3)
+            fracs = rng.random(3) - 0.5
         else:
             fracs = np.zeros(3)
-        variances = np.full(3, beta[p, q] / 3)
         re, im = rng.standard_normal(3), rng.standard_normal(3)
-        expected = dict(delay_taps=delays, doppler_taps=dopplers,
-                        frac_dopplers=fracs, variances=variances,
-                        gains=np.sqrt(variances / 2) * (re + 1j * im))
+        expected = dict(delay_taps=delays, doppler=taps + fracs,
+                        gains=np.sqrt(variances[p, q] / 2) * (re + 1j * im))
         for name in FIELDS:
             np.testing.assert_array_equal(getattr(batch, name)[p, q],
                                           expected[name], strict=True)
@@ -196,23 +198,17 @@ def test_sample_all_paths_replays_five_call_stream(kwargs):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_power_rejected(bad):
     with pytest.raises(ValueError, match="finite"):
-        sample_all_paths(bad, 2, 2, 1, PAPER_GRID, seed=0)
-    beta = np.ones((3, 2))
-    beta[1, 0] = bad
-    with pytest.raises(ValueError, match="finite"):
-        sample_all_paths(beta, 2, 2, 1, PAPER_GRID, seed=0)
-    arrays = make_batch()
-    arrays["variances"][2, 1, 3] = bad
+        sample_all_paths(np.full(2, bad), 2, 1, PAPER_GRID, seed=0)
+    variances = np.ones((3, 2, 4))
+    variances[2, 1, 3] = bad
     with pytest.raises(ValueError, match="variances must be positive and finite"):
-        PathSet(**arrays)
+        sample_all_paths(variances, 2, 1, PAPER_GRID, seed=0)
 
 
 def make_batch(shape=(3, 2, 4)):
     rng = np.random.default_rng(0)
     return dict(delay_taps=rng.integers(0, 3, shape),
-                doppler_taps=rng.integers(-2, 3, shape),
-                frac_dopplers=rng.uniform(-0.4, 0.4, shape),
-                variances=rng.uniform(0.1, 1.0, shape),
+                doppler=rng.integers(-2, 3, shape) + rng.uniform(-0.4, 0.4, shape),
                 gains=rng.standard_normal(shape) + 1j)
 
 
@@ -223,6 +219,8 @@ class TestBatchedPathSet:
         taps = np.array([[link.delay_taps for link in row] for row in paths])
         np.testing.assert_array_equal(taps, arrays["delay_taps"])
         assert [len(list(row)) for row in paths] == [2, 2, 2]
+        doppler = np.array([[link.doppler for link in row] for row in paths])
+        np.testing.assert_array_equal(doppler, arrays["doppler"])
 
     def test_single_link_cannot_be_indexed(self):
         # Paths are read through the arrays only; a single link has no
@@ -236,19 +234,23 @@ class TestBatchedPathSet:
         with pytest.raises(IndexError, match="no link axis"):
             list(link)
 
-    def test_doppler_is_tap_plus_fraction(self):
+    def test_holds_the_sampled_arrays(self):
+        # A path set holds what the sampler draws: taps, one Doppler array
+        # and gains, read through array indexing.
+        assert [f.name for f in fields(PathSet)] == list(FIELDS)
         arrays = make_batch()
         paths = PathSet(**arrays)
-        total = arrays["doppler_taps"] + arrays["frac_dopplers"]
-        np.testing.assert_array_equal(paths.doppler(), total)
-        np.testing.assert_array_equal(paths.doppler(np.s_[:, 1]),
-                                      total[:, 1])
+        assert (paths.delay_taps.dtype.kind, paths.doppler.dtype.kind,
+                paths.gains.dtype.kind) == ("i", "f", "c")
+        np.testing.assert_array_equal(paths.doppler[:, 1],
+                                      arrays["doppler"][:, 1])
 
     def test_mismatched_shapes_rejected(self):
-        arrays = make_batch()
-        arrays["gains"] = arrays["gains"][:, :1]
-        with pytest.raises(ValueError, match="equal shapes"):
-            PathSet(**arrays)
+        for name in ("doppler", "gains"):
+            arrays = make_batch()
+            arrays[name] = arrays[name][:, :1]
+            with pytest.raises(ValueError, match="equal shapes"):
+                PathSet(**arrays)
         with pytest.raises(ValueError):
             PathSet(**make_batch(shape=(2, 0)))
         with pytest.raises(ValueError):
@@ -256,14 +258,15 @@ class TestBatchedPathSet:
                        for name, value in make_batch().items()})
 
     def test_zero_variance_anywhere_rejected(self):
-        arrays = make_batch()
-        arrays["variances"][2, 1, 3] = 0.0
+        # The sampler, which draws a batch's gains, checks every variance.
+        variances = np.random.default_rng(0).uniform(0.1, 1.0, (3, 2, 4))
+        variances[2, 1, 3] = 0.0
         with pytest.raises(ValueError, match="variances"):
-            PathSet(**arrays)
+            sample_all_paths(variances, 2, 1, PAPER_GRID, seed=0)
 
-    def test_fractional_doppler_bound_anywhere_rejected(self):
-        for bad in (0.5, -0.5, 0.7, np.nan):
+    def test_non_finite_doppler_anywhere_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
             arrays = make_batch()
-            arrays["frac_dopplers"][1, 0, 2] = bad
-            with pytest.raises(ValueError, match="fractional Doppler"):
+            arrays["doppler"][1, 0, 2] = bad
+            with pytest.raises(ValueError, match="Dopplers must be finite"):
                 PathSet(**arrays)

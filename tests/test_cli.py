@@ -232,6 +232,9 @@ def test_count_below_one_rejected_before_running(tmp_path, monkeypatch,
     (["check-identities", "--tol", "nan"], "tol must be positive and finite"),
     (["check-identities", "--tol", "-1"], "tol must be positive and finite"),
     (["check-identities", "--seed", "-1"], "--seed must be non-negative"),
+    (["check-identities", "--paths", "0"], "--paths must be at least 1"),
+    (["check-identities", "--paths", "-2"], "--paths must be at least 1"),
+    (["validate", "--paths", "0"], "need at least one path"),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys,
                                          argv, message):
@@ -272,6 +275,19 @@ def test_validate_report_bytes(tmp_path):
                      "--seed", "2", "--out", str(out)]) == 0
     assert hashlib.sha1(out.read_bytes()).hexdigest() == \
         "e08fb49b9a51096ee25deb7b5cad41f9f2ca311c"
+
+
+@pytest.mark.parametrize("argv, sha1", [
+    (["--preset", "desk", "--shadowing", "both"],
+     "a08df54cf633e497352dd9c88fc4201ab31eaa93"),
+    (["--preset", "paper", "--realizations", "5"],
+     "723a96d7b94ece8a29cb702ce944adc5ac574070"),
+])
+def test_run_cdf_csv_bytes(tmp_path, argv, sha1):
+    # The seeded CSVs of run-cdf at seed 1, as git hashes the blob.
+    out = tmp_path / "cdf.csv"
+    assert cli.main(["run-cdf", *argv, "--seed", "1", "--out", str(out)]) == 0
+    assert experiments.git_blob_sha1(out.read_bytes()) == sha1
 
 
 def test_validate_failure_exits_nonzero(tmp_path, capsys):

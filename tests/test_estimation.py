@@ -171,6 +171,18 @@ class TestSampleEstimate:
         with pytest.raises(EstimateStatisticsError):
             sample_estimate(0.5, 0.6, seed=0)
 
+    @pytest.mark.parametrize("beta, gamma", [
+        (0.5, np.nan), (np.nan, 0.4), (np.inf, 0.4), (0.5, np.inf),
+        (np.inf, np.inf), (0.5, -np.inf)])
+    def test_non_finite_statistics_rejected(self, beta, gamma):
+        # A NaN fails every comparison, so it needs its own check.
+        with pytest.raises(EstimateStatisticsError, match="finite"):
+            sample_estimate(beta, gamma, seed=0, trials=3)
+        stats = np.full((2, 3), 0.5), np.full((2, 3), 0.25)
+        stats[0][1, 2], stats[1][1, 2] = beta, gamma
+        with pytest.raises(EstimateStatisticsError, match="finite"):
+            sample_estimate(*stats, seed=0, trials=3)
+
     def test_network_call_matches_per_link_calls(self):
         # One (2, 3, L) call draws what six per-link calls on one shared
         # Generator draw in row-major (AP, user) order, bit for bit.

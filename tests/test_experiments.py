@@ -9,7 +9,9 @@ import pytest
 
 from cfotfs import experiments
 from cfotfs.channel import OtfsGrid
-from cfotfs.geometry import NetworkConfig
+from cfotfs.experiments import ChannelParams
+from cfotfs.geometry import NetworkConfig, apply_shadowing, place_network
+from cfotfs.rng import substream
 
 
 def tiny_config(**kw):
@@ -245,3 +247,44 @@ class TestOutputs:
         header = data.splitlines()[0].decode().split(",")
         assert header == experiments.SWEEP_HEADER
         assert len(data.splitlines()) == 2
+
+
+class TestRealizeLinks:
+    def test_each_path_carries_an_equal_share_of_beta(self):
+        # The split is formed once: LinkStats.beta is the per-path
+        # variance the sampler drew the gains with.
+        config = experiments.desk_preset()
+        net, channel = config.network, config.channel
+        _, rho_u, rho_p = experiments.normalized_powers(config.powers,
+                                                        config.grid)
+        paths, stats, _ = experiments.realize_links(
+            net, config.grid, channel, rho_u, rho_p,
+            np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        beta = apply_shadowing(place_network(net, rng), net, rng)
+        shape = beta.shape + (channel.n_paths,)
+        assert stats.beta.shape == paths.gains.shape == shape
+        np.testing.assert_array_equal(
+            stats.beta, np.broadcast_to(beta[..., None] / channel.n_paths,
+                                        shape))
+        np.testing.assert_allclose(stats.beta.sum(axis=2), beta, rtol=1e-14)
+
+    @pytest.mark.parametrize("n_paths", [0, -1])
+    def test_path_count_below_one_named(self, n_paths):
+        with pytest.raises(ValueError, match="need at least one path"):
+            ChannelParams(n_paths=n_paths)
+
+
+def test_distinct_delay_rates_pinned():
+    # Per-user rates of three realizations of one distinct-delay network
+    # (50 APs x 40 users, correlated shadowing), keyed as run_point keys
+    # them; a refactor that moves no random draw keeps these bytes.
+    config = experiments.paper_preset(
+        channel=ChannelParams(n_paths=3, distinct_delays=True))
+    digest = hashlib.sha1()
+    for index in range(3):
+        rng = substream(config.seed, experiments._MODE_IDS["corr"], 50, 40,
+                        index)
+        rates, _ = experiments.realize_user_rates(config, 50, 40, "corr", rng)
+        digest.update(rates.tobytes())
+    assert digest.hexdigest() == "deedfcdf04e5d1f20bfdc8f734db07a0112398c7"

@@ -76,9 +76,7 @@ class TestEstimateTerms:
         beta = 0.9
         stats = make_stats([[[beta]]], [[[beta]]])
         pc = equal_power_control(stats)
-        ps = PathSet(delay_taps=[[[1]]], doppler_taps=[[[0]]],
-                     frac_dopplers=[[[0.3]]], variances=[[[beta]]],
-                     gains=[[[1.0]]])
+        ps = PathSet(delay_taps=[[[1]]], doppler=[[[0.3]]], gains=[[[1.0]]])
         inst = ValidationInstance(grid=grid, pathsets=ps, stats=stats,
                                   pc=pc, rho_d=1.0)
         est = estimate_terms(inst, q=0, r=0, trials=10_000, seed=0)
@@ -179,9 +177,7 @@ class TestEstimateTerms:
     def test_estimate_above_gain_variance_rejected(self):
         grid = OtfsGrid(doppler_bins=2, delay_bins=2)
         stats = make_stats([[[0.5]]], [[[0.6]]])
-        ps = PathSet(delay_taps=[[[0]]], doppler_taps=[[[0]]],
-                     frac_dopplers=[[[0.0]]], variances=[[[0.5]]],
-                     gains=[[[1.0]]])
+        ps = PathSet(delay_taps=[[[0]]], doppler=[[[0.0]]], gains=[[[1.0]]])
         inst = ValidationInstance(grid=grid, pathsets=ps, stats=stats,
                                   pc=PowerControl(eta=np.ones((1, 1))),
                                   rho_d=1.0)
@@ -269,8 +265,7 @@ class TestValidateRate:
         beta = np.full((1, 1, 1), 0.5)
         stats = LinkStats(beta=beta, mmse_c=np.zeros_like(beta),
                           gamma=np.zeros_like(beta), xi=np.zeros((1, 1)))
-        ps = PathSet(delay_taps=[[[0]]], doppler_taps=[[[0]]],
-                     frac_dopplers=[[[0.0]]], variances=beta, gains=[[[1.0]]])
+        ps = PathSet(delay_taps=[[[0]]], doppler=[[[0.0]]], gains=[[[1.0]]])
         inst = ValidationInstance(grid=grid, pathsets=ps, stats=stats,
                                   pc=PowerControl(eta=np.ones((1, 1))),
                                   rho_d=10.0)

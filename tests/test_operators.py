@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from dense_reference import brute_force_operator
+from dense_reference import brute_force_operator, chi_kappa
 
 from cfotfs.channel import OtfsGrid, PathSet, sample_all_paths
 from cfotfs.exceptions import IdentityCheckError
-from cfotfs.operators import (chi_kappa, chi_kappa_tables, dd_operator,
+from cfotfs.operators import (chi_kappa_tables, dd_operator,
                               verify_operator_identities)
 
 
@@ -19,8 +19,8 @@ def make_path(delay, doppler, frac=0.0):
 def make_pathset(delays, dopplers, fracs=None):
     n = len(delays)
     fracs = [0.0] * n if fracs is None else fracs
-    return PathSet(delay_taps=delays, doppler_taps=dopplers,
-                   frac_dopplers=fracs, variances=[1.0] * n, gains=[1.0] * n)
+    return PathSet(delay_taps=delays, doppler=np.add(dopplers, fracs),
+                   gains=[1.0] * n)
 
 
 class TestDdOperator:
@@ -96,7 +96,7 @@ def link_channel(paths, grid):
     operators."""
     return sum(gain * dd_operator(delay, doppler, grid)
                for gain, delay, doppler
-               in zip(paths.gains, paths.delay_taps, paths.doppler()))
+               in zip(paths.gains, paths.delay_taps, paths.doppler))
 
 
 class TestEffectiveChannel:
@@ -114,7 +114,7 @@ class TestEffectiveChannel:
         m, n = 4, 2
         grid = OtfsGrid(doppler_bins=n, delay_bins=m)
         rng = np.random.default_rng(1)
-        ps = sample_all_paths(1.0, 3, m - 1, 0, grid, rng,
+        ps = sample_all_paths(np.full(3, 1 / 3), m - 1, 0, grid, rng,
                               fractional=False)
         x = rng.standard_normal(m * n) + 1j * rng.standard_normal(m * n)
         y_matrix = link_channel(ps, grid) @ x
@@ -122,8 +122,8 @@ class TestEffectiveChannel:
         for k in range(n):
             for ell in range(m):
                 acc = 0.0 + 0j
-                for i in range(ps.n_paths):
-                    ki, li = int(ps.doppler_taps[i]), int(ps.delay_taps[i])
+                for i in range(len(ps.delay_taps)):
+                    ki, li = int(ps.doppler[i]), int(ps.delay_taps[i])
                     coeff = ps.gains[i] * np.exp(
                         2j * np.pi * ki * (ell - li) / (m * n))
                     if ell < li:
@@ -151,10 +151,11 @@ class TestChiKappa:
     def assert_tables_match_every_bin(self, ps, grid):
         """The single (L, L) table entry equals the dense chi_kappa at
         every bin of the grid."""
-        chi_t, kap_t = chi_kappa_tables(ps.delay_taps, ps.doppler(),
+        chi_t, kap_t = chi_kappa_tables(ps.delay_taps, ps.doppler,
                                         grid.doppler_bins)
-        assert chi_t.shape == kap_t.shape == (ps.n_paths, ps.n_paths)
-        paths = list(zip(ps.delay_taps, ps.doppler()))
+        n_paths = len(ps.delay_taps)
+        assert chi_t.shape == kap_t.shape == (n_paths, n_paths)
+        paths = list(zip(ps.delay_taps, ps.doppler))
         for i, path_i in enumerate(paths):
             for j, path_j in enumerate(paths):
                 for r in range(grid.size):
@@ -167,7 +168,7 @@ class TestChiKappa:
         rng = np.random.default_rng(2)
         for _ in range(3):
             self.assert_tables_match_every_bin(
-                sample_all_paths(1.0, 5, 7, 1, grid, rng), grid)
+                sample_all_paths(np.ones(5), 7, 1, grid, rng), grid)
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(2, 7), m=st.integers(2, 6),
@@ -201,15 +202,15 @@ class TestChiKappa:
         grid = OtfsGrid(doppler_bins=5, delay_bins=3)
         ps = make_pathset([2, 2, 0], [1, 1, -1], fracs=[0.3, 0.3, 0.1])
         self.assert_tables_match_every_bin(ps, grid)
-        chi_t, kap_t = chi_kappa_tables(ps.delay_taps, ps.doppler(), 5)
+        chi_t, kap_t = chi_kappa_tables(ps.delay_taps, ps.doppler, 5)
         assert (chi_t[0, 1], kap_t[0, 1]) == (1.0, 0.0)
 
     def test_stacked_call_equals_per_link_calls(self):
         grid = OtfsGrid(doppler_bins=6, delay_bins=4)
         rng = np.random.default_rng(7)
-        links = sample_all_paths(np.ones(5), 4, 3, 2, grid, rng)
+        links = sample_all_paths(np.ones((5, 4)), 3, 2, grid, rng)
         delays = links.delay_taps
-        doppler = links.doppler()
+        doppler = links.doppler
         chi_s, kap_s = chi_kappa_tables(delays, doppler, grid.doppler_bins)
         assert chi_s.shape == kap_s.shape == (5, 4, 4)
         for p in range(5):
@@ -295,7 +296,7 @@ class TestAlphaCoeff:
 class TestIdentityChecks:
     def test_random_paths_within_tolerance(self):
         grid = OtfsGrid(doppler_bins=4, delay_bins=8)
-        ps = sample_all_paths(1.0, 12, 7, 1, grid, seed=3)
+        ps = sample_all_paths(np.ones(12), 7, 1, grid, seed=3)
         report = verify_operator_identities(ps, grid, tol=1e-9)
         assert report.passed
         assert report.unitarity_dev < 1e-9
@@ -330,6 +331,6 @@ class TestIdentityChecks:
 
     def test_batched_paths_rejected(self):
         grid = OtfsGrid(4, 4)
-        ps = sample_all_paths([[1.0, 1.0]], 2, 3, 1, grid, seed=0)
+        ps = sample_all_paths(np.ones((1, 2, 2)), 3, 1, grid, seed=0)
         with pytest.raises(ValueError, match=r"one link's \(L,\) paths"):
             verify_operator_identities(ps, grid)

@@ -24,8 +24,7 @@ def single_link_setup(beta=2.0, gamma=1.5, delay=0, doppler=0, frac=0.0):
     grid = OtfsGrid(doppler_bins=2, delay_bins=2)
     stats = make_stats([[[beta]]], [[[gamma]]])
     pc = equal_power_control(stats)
-    ps = PathSet(delay_taps=[[[delay]]], doppler_taps=[[[doppler]]],
-                 frac_dopplers=[[[frac]]], variances=[[[beta]]],
+    ps = PathSet(delay_taps=[[[delay]]], doppler=[[[doppler + frac]]],
                  gains=[[[1.0]]])
     return grid, stats, pc, ps
 
@@ -36,9 +35,7 @@ def perfect_csi_two_aps(beta=0.8):
     stats = make_stats([[[beta]], [[beta]]], [[[beta]], [[beta]]])
     pc = equal_power_control(stats)
     pathsets = PathSet(delay_taps=np.zeros((2, 1, 1)),
-                       doppler_taps=np.zeros((2, 1, 1)),
-                       frac_dopplers=np.zeros((2, 1, 1)),
-                       variances=np.full((2, 1, 1), beta),
+                       doppler=np.zeros((2, 1, 1)),
                        gains=np.ones((2, 1, 1)))
     return stats, pc, pathsets
 
@@ -208,9 +205,8 @@ class TestDistinctDelayFastPath:
                            [[1, 3], [1, 1]],
                            [[0, 2], [3, 0]]])
         shape = delays.shape
-        bad = PathSet(delay_taps=delays, doppler_taps=np.zeros(shape),
-                      frac_dopplers=np.full(shape, 0.1),
-                      variances=np.ones(shape), gains=np.ones(shape))
+        bad = PathSet(delay_taps=delays, doppler=np.full(shape, 0.1),
+                      gains=np.ones(shape))
         stats = make_stats(np.ones(shape), np.full(shape, 0.5))
         pc = equal_power_control(stats)
         rate_distinct_delays(0, stats, pc, bad, 1.0, grid)
@@ -227,8 +223,8 @@ class TestDistinctDelayFastPath:
             inst = random_instance(seed, distinct=True, n_paths=3, n_aps=3)
             paths = inst.pathsets
             chi, kappa = operators.chi_kappa_tables(
-                paths.delay_taps, paths.doppler(), inst.grid.doppler_bins)
-            eye = np.eye(paths.n_paths)
+                paths.delay_taps, paths.doppler, inst.grid.doppler_bins)
+            eye = np.eye(paths.delay_taps.shape[-1])
             assert np.array_equal(chi, np.broadcast_to(eye, chi.shape))
             assert np.array_equal(kappa, np.broadcast_to(1.0 - eye,
                                                          kappa.shape))
@@ -244,8 +240,7 @@ class TestDistinctDelayFastPath:
         gamma = 0.6 * beta
         stats = make_stats(beta, gamma)
         pc = equal_power_control(stats)
-        ps = PathSet(delay_taps=[[[0, 2]]], doppler_taps=[[[0, 0]]],
-                     frac_dopplers=[[[0.0, 0.0]]], variances=beta,
+        ps = PathSet(delay_taps=[[[0, 2]]], doppler=[[[0.0, 0.0]]],
                      gains=[[[1.0, 1.0]]])
         rho_d = 2.0
         report = rate_distinct_delays(0, stats, pc, ps, rho_d, grid)
@@ -278,9 +273,8 @@ class TestUserIndex:
         grid = OtfsGrid(doppler_bins=2, delay_bins=4)
         delays = np.array([[[0, 1], [2, 2]]])
         shape = delays.shape
-        paths = PathSet(delay_taps=delays, doppler_taps=np.zeros(shape),
-                        frac_dopplers=np.zeros(shape),
-                        variances=np.ones(shape), gains=np.ones(shape))
+        paths = PathSet(delay_taps=delays, doppler=np.zeros(shape),
+                        gains=np.ones(shape))
         stats = make_stats(np.ones(shape), np.full(shape, 0.5))
         pc = equal_power_control(stats)
         for q in (-1, 2):
