@@ -1,17 +1,18 @@
 """Matrix-level Monte Carlo oracle for the closed-form SINR.
 
-Freezes taps (hence the dense path operators T), resamples estimated gains
-and estimation errors trial by trial, and accumulates the four
+Freezes taps (hence the path operators T), resamples estimated gains and
+estimation errors trial by trial, and accumulates the four
 received-signal terms whose closed forms the rate module evaluates:
 desired-signal mean, precoding gain uncertainty, inter-symbol and
 inter-user interference. Only row r of each channel product enters them,
 so once per call the oracle builds the row products T_pq,i[r, :] T_pq',j^H
-from the dense operators, one dd_operator call per link (P Q calls, not
-P Q L), holding one link's operators at a time, and reduces each user's
-to a Gram matrix; a trial then costs O((P L^2)^2) per user, whatever the
-grid size. It never forms a channel matrix, and each batch draws all its
-gains with one sample_estimate call, in the same order (AP, user) as a
-computation with explicit channel matrices would.
+from the paths' N x N Doppler blocks (operators.dd_blocks: row r of T is
+nonzero in one delay column only), never from dense MN x MN operators,
+and reduces each user's to a Gram matrix; a trial then costs
+O((P L^2)^2) per user, whatever the grid size. It never forms a channel
+matrix, and each batch draws all its gains with one sample_estimate
+call, in the same order (AP, user) as a computation with explicit
+channel matrices would.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .channel import OtfsGrid, PathSet
 from .estimation import LinkStats, sample_estimate
 from .experiments import ChannelParams, realize_links
 from .geometry import NetworkConfig
-from .operators import dd_operator
+from .operators import dd_blocks
 from .rng import as_int_seed, as_rng, substream
 
 
@@ -91,6 +92,33 @@ class TermEstimates:
                                             rho_d))
 
 
+def _row_gram(paths: PathSet, grid: OtfsGrid, q: int, r: int):
+    """(R_q[:, r], R_q' R_q'^H for every user q') from the bin-r row
+    products R_q'[(p, i, j), :] = T_pq,i[r, :] T_pq',j^H. Row r = r1*M + r2
+    of T_pq,i is row r1 of its Doppler block at delay column
+    c2 = (r2 - l_i) mod M and zero elsewhere, so a row product is N values
+    at delay row (c2 + l_j) mod M: P L blocks and P Q L L blocks, never an
+    MN x MN operator.
+    """
+    m = grid.delay_bins
+    r1, r2 = divmod(r, m)
+    taps, doppler = paths.delay_taps, paths.doppler
+    n_aps, n_users, n_paths = taps.shape
+    cols = (r2 - taps[:, q]) % m
+    first = dd_blocks(taps[:, q], doppler[:, q], cols, grid)[..., r1, :]
+    # blocks[p, q', i, j] = block of T_pq',j at user q's column cols[p, i].
+    blocks = dd_blocks(taps[:, :, None, :], doppler[:, :, None, :],
+                       cols[:, None, :, None], grid)
+    values = np.einsum("pin,pkijcn->kpijc", first, blocks.conj())
+    delay_rows = (cols[:, None, :, None] + taps[:, :, None, :]) % m
+    rows = np.zeros((n_users, n_aps, n_paths, n_paths, grid.doppler_bins, m),
+                    dtype=complex)
+    np.put_along_axis(rows, delay_rows.swapaxes(0, 1)[..., None, None],
+                      values[..., None], axis=-1)
+    rows = rows.reshape(n_users, -1, grid.size)
+    return rows[q, :, r], rows @ rows.conj().transpose(0, 2, 1)
+
+
 def estimate_terms(instance: ValidationInstance, q: int, r: int, trials: int,
                    seed=None) -> TermEstimates:
     """Estimate the four SINR terms of user q at bin r by simulation.
@@ -99,12 +127,11 @@ def estimate_terms(instance: ValidationInstance, q: int, r: int, trials: int,
     g_q' = c_q' R_q', with per-trial coefficients
     c_q'[(p, i, j)] = sqrt(eta_pq') h_pq,i conj(hhat_pq',j) and row
     products R_q'[(p, i, j), :] = T_pq,i[r, :] T_pq',j^H. Once per call,
-    the row products are built from one dd_operator call per link, holding
-    one link's dense operators at a time (user q's link first, for its
-    bin-r rows), and each user's Gram matrix R_q' R_q'^H is formed. A
-    trial's bin-r sample is then c_q R_q[:, r] and its row energy
-    sum_d |g_q',d|^2 is c_q' R_q' R_q'^H c_q'^H: O((P L^2)^2) per user and
-    trial, whatever the grid. Each batch of trials draws every (gain,
+    _row_gram builds the row products from the paths' N x N Doppler
+    blocks and forms each user's Gram matrix R_q' R_q'^H. A trial's bin-r
+    sample is then c_q R_q[:, r] and its row energy sum_d |g_q',d|^2 is
+    c_q' R_q' R_q'^H c_q'^H: O((P L^2)^2) per user and trial, whatever the
+    grid. Each batch of trials draws every (gain,
     estimate) pair with one sample_estimate call on its own substream, so
     the estimates do not depend on execution order. An integer seed keys
     the substreams directly; a Generator (or None) draws that key. Raises
@@ -120,22 +147,8 @@ def estimate_terms(instance: ValidationInstance, q: int, r: int, trials: int,
         raise ValueError(f"trials must be at least {2 * BATCHES} (two per "
                          f"batch), got {trials}")
     per_batch = trials // BATCHES
-    n_aps, n_users, n_paths = paths.delay_taps.shape
-
-    # rows[q', p, i, j] = T_pq,i[r, :] T_pq',j^H, one link's operators at a time.
-    rows = np.empty((n_users, n_aps, n_paths, n_paths, grid.size), dtype=complex)
-    for p in range(n_aps):
-        for k in [q] + [k for k in range(n_users) if k != q]:
-            ops = dd_operator(paths.delay_taps[p, k], paths.doppler[p, k],
-                              grid)
-            if k == q:
-                row_r = ops[:, r, :].conj()
-            rows[k, p] = (row_r @ ops.reshape(-1, grid.size).T).reshape(
-                n_paths, n_paths, grid.size).conj()
-            del ops  # two live stacks make the allocator re-map their pages
-    rows = rows.reshape(n_users, -1, grid.size)
-    gram = rows @ rows.conj().transpose(0, 2, 1)
-    column = rows[q, :, r]
+    column, gram = _row_gram(paths, grid, q, r)
+    n_users = stats.n_users
     seed = as_int_seed(seed)
     scales = np.sqrt(pc.eta)
 

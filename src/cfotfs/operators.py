@@ -16,17 +16,16 @@ operator identities the rate analysis relies on. The pair does not
 depend on the bin at all: chi_kappa_tables evaluates it once per path
 pair in closed form over (..., L) PathSet arrays (every AP of a user at
 once). A path enters the dense constructors as two numbers: its integer
-delay tap and its Doppler k+kappa, or as arrays of them: the Monte Carlo
-oracle builds a link's L operators with one dd_operator call.
+delay tap and its Doppler k+kappa, or as arrays of them.
 
-dd_operator assembles T from its structure rather than multiplying the
-three MN x MN factors: an integer delay tap is an exact shift of the
-delay coordinate, and the Doppler spreads only along the Doppler axis, so
-T is a scatter of M dense N x N blocks, one per delay column. Each block
-is computed from F_N, the carry of the cyclic shift and the diagonal of D,
-never from the Dirichlet kernel of chi_kappa_tables, so the dense
-operators (and the Monte Carlo oracle built on them) stay an independent
-check of the closed form.
+An integer delay tap is an exact shift of the delay coordinate, and the
+Doppler spreads only along the Doppler axis, so each delay column of T
+holds one dense N x N block. dd_blocks computes those blocks from F_N,
+the carry of the cyclic shift and the diagonal of D, never from the
+Dirichlet kernel of chi_kappa_tables, so they stay an independent check
+of the closed form. dd_operator scatters them into the MN x MN matrix for
+verify_operator_identities and the tests; the Monte Carlo oracle reads
+the blocks directly.
 """
 
 from __future__ import annotations
@@ -45,44 +44,62 @@ def dft_matrix(n: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
 
 
+def dd_blocks(delay_tap, doppler, column, grid: OtfsGrid) -> np.ndarray:
+    """N x N Doppler blocks of paths' operators at delay columns c2, for
+    integer delay taps l, Dopplers k+kappa and columns that broadcast to
+    one shape S; returns an (S, N, N) array.
+
+    F_N kron I_M leaves the delay coordinate alone, and P^l moves delay
+    column c2 to row (c2 + l) mod M, one Doppler step further when
+    c2 + l >= M. So delay column c2 of T holds a single N x N block,
+    F_N S_c2 diag(z^(j1*M + c2)) F_N^H over Doppler indices j1, at delay
+    row (c2 + l) mod M, where S_c2 is that carry's cyclic shift, and every
+    other block of the column is zero. The block uses only the definition
+    of T, not the closed-form (chi, kappa) algebra it is meant to check.
+    Raises ValueError for a delay tap or column that is not an integer in
+    [0, M) and for a Doppler that is not finite.
+    """
+    m, n = grid.delay_bins, grid.doppler_bins
+    taps, doppler = np.asarray(delay_tap), np.asarray(doppler, float)
+    column = np.asarray(column)
+    for name, value in (("delay tap", taps), ("column", column)):
+        if not np.issubdtype(value.dtype, np.integer):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if np.any((value < 0) | (value >= m)):
+            raise ValueError(f"{name} outside grid")
+    if not np.all(np.isfinite(doppler)):
+        raise ValueError(f"Doppler must be finite, got {doppler!r}")
+    # phases[..., j1] = z^((k+kappa)(j1*M + c2)): the diagonal of D.
+    index = np.arange(n) * m + column[..., None]
+    phases = np.exp(2j * np.pi * doppler[..., None] * index / (m * n))
+    f = dft_matrix(n)
+    # S_c2 diag(w) maps Doppler index j1 to (j1 + carry) mod N, so the
+    # block's left factor is F_N with its columns rolled by the carry.
+    left = np.where((column + taps >= m)[..., None, None],
+                    np.roll(f, -1, axis=1), f)
+    return (left * phases[..., None, :]) @ f.conj().T
+
+
 def dd_operator(delay_tap, doppler, grid: OtfsGrid) -> np.ndarray:
     """Dense MN x MN matrices of paths' action on the DD grid, for integer
     delay taps l and Dopplers k+kappa that broadcast to one shape S (a
     scalar pair for one path); returns an (S, MN, MN) array.
 
-    Built block by block from the definition of T alone. F_N kron I_M
-    leaves the delay coordinate alone, and P^l moves delay column c2 to
-    row (c2 + l) mod M, one Doppler step further when c2 + l >= M. So
-    delay column c2 holds a single N x N block, F_N S_c2 diag(z^(j1*M +
-    c2)) F_N^H over Doppler indices j1, where S_c2 is that carry's cyclic
-    shift, and every other block of the column is zero. This costs
-    O(M N^3 + (MN)^2) per path instead of two MN x MN products, and it
-    uses only the definition of T, not the closed-form (chi, kappa)
-    algebra it is meant to check. Raises ValueError for a delay tap that
-    is not an integer in [0, M) and for a Doppler that is not finite.
+    Scatters each path's dd_blocks over all M delay columns: the block of
+    column c2 lands at delay row (c2 + l) mod M. This costs
+    O(M N^3 + (MN)^2) per path instead of two MN x MN products; the Monte
+    Carlo oracle calls dd_blocks at the columns it reads and never pays
+    the (MN)^2 scatter. Raises ValueError as dd_blocks does.
     """
     m, n = grid.delay_bins, grid.doppler_bins
-    mn = m * n
     taps, doppler = np.broadcast_arrays(delay_tap, np.asarray(doppler, float))
-    if not np.issubdtype(taps.dtype, np.integer):
-        raise ValueError(f"delay tap must be an integer, got {delay_tap!r}")
-    if np.any((taps < 0) | (taps >= m)):
-        raise ValueError("delay tap outside grid")
-    if not np.all(np.isfinite(doppler)):
-        raise ValueError(f"Doppler must be finite, got {doppler!r}")
-    # phases[s, c2, j1] = z^((k+kappa)(j1*M + c2)): the diagonal of D.
-    phases = np.exp(2j * np.pi * doppler.reshape(-1, 1) * np.arange(mn) / mn)
-    phases = phases.reshape(-1, n, m).swapaxes(1, 2)
     delays = np.arange(m)
-    shifted = delays + taps.reshape(-1, 1)
-    f = dft_matrix(n)
-    # S_c2 diag(w) maps Doppler index j1 to (j1 + carry) mod N, so the
-    # block's left factor is F_N with its columns rolled by the carry.
-    left = np.where(shifted[..., None, None] >= m, np.roll(f, -1, axis=1), f)
-    blocks = (left * phases[:, :, None, :]) @ f.conj().T
+    blocks = dd_blocks(taps.reshape(-1, 1), doppler.reshape(-1, 1), delays,
+                       grid)
+    shifted = (delays + taps.reshape(-1, 1)) % m
     out = np.zeros((len(shifted), n, m, n, m), dtype=complex)
-    out[np.arange(len(shifted))[:, None], :, shifted % m, :, delays] = blocks
-    return out.reshape(taps.shape + (mn, mn))
+    out[np.arange(len(shifted))[:, None], :, shifted, :, delays] = blocks
+    return out.reshape(taps.shape + (m * n, m * n))
 
 
 def chi_kappa_tables(delay_taps, doppler, doppler_bins: int):

@@ -274,7 +274,7 @@ def test_validate_report_bytes(tmp_path):
     assert cli.main(["validate", "--trials", "3000", "--instances", "1",
                      "--seed", "2", "--out", str(out)]) == 0
     assert hashlib.sha1(out.read_bytes()).hexdigest() == \
-        "e08fb49b9a51096ee25deb7b5cad41f9f2ca311c"
+        "6c7b2103b735ad62997b307cca05b252b764eaf1"
 
 
 @pytest.mark.parametrize("argv, sha1", [

@@ -6,12 +6,13 @@ import pytest
 
 from dense_reference import explicit_terms, per_bin_sinr
 
-from cfotfs import experiments, montecarlo
+from cfotfs import experiments, montecarlo, operators
 from cfotfs.channel import OtfsGrid, PathSet
 from cfotfs.estimation import LinkStats
 from cfotfs.exceptions import EstimateStatisticsError
 from cfotfs.montecarlo import (BATCHES, ValidationInstance, estimate_terms,
                                random_instance, validate_rate)
+from cfotfs.operators import dd_operator
 from cfotfs.rate import PowerControl, closed_form_terms, equal_power_control
 
 
@@ -160,19 +161,51 @@ class TestEstimateTerms:
         est = estimate_terms(inst, q=0, r=0, trials=2 * BATCHES, seed=9)
         assert np.isfinite(est.bu_var) and np.isfinite(est.bu_se)
 
-    def test_one_operator_per_path_and_link(self, monkeypatch):
-        # Each link's operators are built once, user q's link included.
+    def test_row_products_built_from_blocks_only(self, monkeypatch):
+        # No dense operator is built: user q's P L blocks give its bin-r
+        # rows, and P Q L L blocks give every link's row products.
         inst = three_user_instance()
-        original = montecarlo.dd_operator
+
+        def dense(*args):
+            raise AssertionError("dense operator built")
+
+        original = montecarlo.dd_blocks
         built = []
 
-        def counted(delay_taps, doppler, grid):
-            built.append(np.size(delay_taps))
-            return original(delay_taps, doppler, grid)
+        def counted(delay_tap, doppler, column, grid):
+            built.append(np.broadcast(delay_tap, doppler, column).size)
+            return original(delay_tap, doppler, column, grid)
 
-        monkeypatch.setattr(montecarlo, "dd_operator", counted)
+        monkeypatch.setattr(operators, "dd_operator", dense)
+        monkeypatch.setattr(montecarlo, "dd_blocks", counted)
         estimate_terms(inst, q=1, r=13, trials=100, seed=1)
-        assert sum(built) == inst.pathsets.delay_taps.size
+        n_aps, n_users, n_paths = inst.pathsets.delay_taps.shape
+        assert sum(built) == (n_aps * n_paths
+                              + n_aps * n_users * n_paths ** 2)
+
+    @pytest.mark.parametrize("r", [7 * 30 + 2, 599],
+                             ids=["inside-span", "last"])
+    def test_row_gram_matches_dense_operators(self, r):
+        # Bin 7 * 30 + 2 has delay coordinate 2, inside the path span
+        # l_max = 4, so some of its columns carry a Doppler step.
+        inst = grid_instance(30, 20, 4, n_paths=5, l_max=4, k_max=3,
+                             fractional=True)
+        paths, q = inst.pathsets, 1
+        n_aps, n_users, n_paths = paths.delay_taps.shape
+        rows = np.empty((n_users, n_aps, n_paths, n_paths, inst.grid.size),
+                        dtype=complex)
+        for p in range(n_aps):
+            row_r = dd_operator(paths.delay_taps[p, q], paths.doppler[p, q],
+                                inst.grid)[:, r]
+            for k in range(n_users):
+                ops = dd_operator(paths.delay_taps[p, k], paths.doppler[p, k],
+                                  inst.grid)
+                rows[k, p] = np.einsum("ic,jdc->ijd", row_r, ops.conj())
+        rows = rows.reshape(n_users, -1, inst.grid.size)
+        column, gram = montecarlo._row_gram(paths, inst.grid, q, r)
+        np.testing.assert_allclose(column, rows[q, :, r], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(gram, rows @ rows.conj().transpose(0, 2, 1),
+                                   rtol=0, atol=1e-13)
 
     def test_estimate_above_gain_variance_rejected(self):
         grid = OtfsGrid(doppler_bins=2, delay_bins=2)

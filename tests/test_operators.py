@@ -6,7 +6,7 @@ from dense_reference import brute_force_operator, chi_kappa
 
 from cfotfs.channel import OtfsGrid, PathSet, sample_all_paths
 from cfotfs.exceptions import IdentityCheckError
-from cfotfs.operators import (chi_kappa_tables, dd_operator,
+from cfotfs.operators import (chi_kappa_tables, dd_blocks, dd_operator,
                               verify_operator_identities)
 
 
@@ -89,6 +89,31 @@ class TestDdOperator:
         shift = dd_operator(*make_path(3, 0, 0.0), grid)
         dopp = dd_operator(*make_path(0, 1, 0.21), grid)
         np.testing.assert_allclose(full, shift @ dopp, atol=1e-12)
+
+
+class TestDdBlocks:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_blocks_match_literal_product(self, n):
+        # Column c2 of tap l lands at delay row (c2 + l) mod M; taps with
+        # c2 + l >= M carry a Doppler step past the last delay bin.
+        m = 5
+        grid = OtfsGrid(doppler_bins=n, delay_bins=m)
+        taps = np.array([0, 2, 4])
+        doppler = np.array([0.0, -1.37, 0.49])
+        columns = np.arange(m)[:, None]
+        blocks = dd_blocks(taps, doppler, columns, grid)
+        assert blocks.shape == (m, len(taps), n, n)
+        for index, (tap, nu) in enumerate(zip(taps, doppler)):
+            dense = brute_force_operator(tap, nu, m, n).reshape(n, m, n, m)
+            for c2 in range(m):
+                np.testing.assert_allclose(
+                    blocks[c2, index], dense[:, (c2 + tap) % m, :, c2],
+                    rtol=0, atol=1e-12, err_msg=f"tap {tap}, column {c2}")
+
+    @pytest.mark.parametrize("column", [-1, 5, 1.0])
+    def test_column_not_an_index_of_the_grid_rejected(self, column):
+        with pytest.raises(ValueError, match="column"):
+            dd_blocks(1, 0.3, column, OtfsGrid(doppler_bins=4, delay_bins=5))
 
 
 def link_channel(paths, grid):
