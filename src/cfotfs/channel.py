@@ -30,8 +30,10 @@ class OtfsGrid:
     def __post_init__(self):
         if self.doppler_bins < 1 or self.delay_bins < 1:
             raise ValueError("grid dimensions must be positive")
-        if self.delta_f_hz <= 0 or self.carrier_hz <= 0:
-            raise ValueError("frequencies must be positive")
+        frequencies = (self.delta_f_hz, self.carrier_hz)
+        if not all(0 < f < math.inf for f in frequencies):  # NaN fails too
+            raise ValueError("frequencies must be positive and finite, got "
+                             f"{frequencies}")
 
     @property
     def size(self) -> int:
@@ -114,12 +116,20 @@ def sample_all_paths(variances, l_max: int, k_max: int, grid: OtfsGrid,
     complex normal with its path's variance.
 
     Links are drawn one after another in row-major order, each with three
-    generator calls into preallocated arrays: its delay and Doppler taps
-    (one array-bounded integers call, or a choice and an integers call
-    for distinct delays), its fractions and its 2 x L standard normals,
-    real parts first. The fractions are shifted, added to the taps and
-    the gains assembled once for the whole network afterwards. This is
-    the same stream as drawing delays, Doppler taps, uniform(-0.5, 0.5)
+    generator calls into preallocated arrays: one array-bounded integers
+    call, its fractions and its 2 x L standard normals, real parts first.
+    The integers call draws the L delay taps on [0, l_max], then the L
+    Doppler taps on [-k_max, k_max]. With distinct_delays its delay part
+    is the 2L - 1 draws numpy's Generator.choice(l_max + 1, L,
+    replace=False) makes through the same bounded-integer routine:
+    Floyd's L values on [0, j] for j = l_max + 1 - L .. l_max, then its
+    shuffle's swap indices on [0, i] for i = L - 1 .. 1. Floyd's rule and
+    the swaps then run once for all links (_floyd_shuffle). numpy takes
+    another branch when l_max + 1 > 10000 and L > (l_max + 1) // 50;
+    there each link calls choice, then integers for its Doppler taps.
+    The fractions are shifted, added to the taps and the gains assembled
+    once for the whole network. This is the same stream as drawing delays
+    (with choice for distinct delays), Doppler taps, uniform(-0.5, 0.5)
     fractions and the real and imaginary normals with one call each, bit
     for bit.
     """
@@ -142,24 +152,54 @@ def sample_all_paths(variances, l_max: int, k_max: int, grid: OtfsGrid,
 
     rng = as_rng(seed)
     n_links = variances.size // n_paths
-    # Delay row then Doppler row of every link; bounds of both rows.
-    taps = np.empty((2, n_links, n_paths), dtype=int)
-    low = np.repeat([[0], [-k_max]], n_paths, axis=1)
-    high = np.repeat([[l_max + 1], [k_max + 1]], n_paths, axis=1)
+    if distinct_delays:  # Floyd's values, then the shuffle's swap indices
+        tops = np.r_[l_max + 1 - n_paths:l_max + 1, n_paths - 1:0:-1]
+    else:
+        tops = np.full(n_paths, l_max)
+    # Bounds of each link's integers call: delay draws, then Doppler taps.
+    low = np.r_[np.zeros_like(tops), np.full(n_paths, -k_max)]
+    high = np.r_[tops, np.full(n_paths, k_max)] + 1
+    # numpy's choice takes a tail shuffle here, which is not replayed.
+    tail_shuffle = (distinct_delays and l_max + 1 > 10_000
+                    and n_paths > (l_max + 1) // 50)
+    draws = np.empty((n_links, low.size), dtype=int)
     fracs = np.zeros((n_links, n_paths))
     normals = np.empty((n_links, 2, n_paths))
     for i in range(n_links):
-        if distinct_delays:
-            taps[0, i] = rng.choice(l_max + 1, size=n_paths, replace=False)
-            taps[1, i] = rng.integers(-k_max, k_max + 1, size=n_paths)
+        if tail_shuffle:
+            draws[i, :n_paths] = rng.choice(l_max + 1, size=n_paths,
+                                            replace=False)
+            draws[i, -n_paths:] = rng.integers(-k_max, k_max + 1, n_paths)
         else:
-            taps[:, i] = rng.integers(low, high)
+            draws[i] = rng.integers(low, high)
         if fractional:
             rng.random(out=fracs[i])
         rng.standard_normal(out=normals[i])
     if fractional:
         fracs -= 0.5  # uniform(-0.5, 0.5) is -0.5 + 1.0 * random()
-    delays, k = taps.reshape((2,) + shape)  # k: integer Doppler taps
+    delays = draws[:, :n_paths]
+    if distinct_delays and not tail_shuffle:
+        delays = _floyd_shuffle(draws[:, :-n_paths], l_max)
+    k = draws[:, -n_paths:]  # integer Doppler taps
     re, im = normals.swapaxes(0, 1).reshape((2,) + shape)
-    return PathSet(delay_taps=delays, doppler=k + fracs.reshape(shape),
+    return PathSet(delay_taps=delays.reshape(shape),
+                   doppler=k.reshape(shape) + fracs.reshape(shape),
                    gains=cn_from_normals(variances, re, im))
+
+
+def _floyd_shuffle(draws, l_max: int) -> np.ndarray:
+    """Generator.choice(l_max + 1, L, replace=False) of every link, from
+    the (links, 2L - 1) draws it takes: Floyd's L values, then the L - 1
+    swap indices of its shuffle."""
+    n_paths = (draws.shape[1] + 1) // 2
+    values, swaps = draws[:, :n_paths], draws[:, n_paths:]
+    taps = np.empty_like(values)
+    for t in range(n_paths):
+        # Floyd: a value already taken becomes the top of its range.
+        taken = (taps[:, :t] == values[:, t, None]).any(axis=1)
+        taps[:, t] = np.where(taken, l_max + 1 - n_paths + t, values[:, t])
+    rows = np.arange(len(taps))
+    for s, i in enumerate(range(n_paths - 1, 0, -1)):
+        j = swaps[:, s]
+        taps[rows, i], taps[rows, j] = taps[rows, j], taps[rows, i]
+    return taps

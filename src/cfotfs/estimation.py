@@ -59,7 +59,9 @@ class LinkStats:
 
     Arrays are indexed [p, q, i] except xi, indexed [p, q]. gamma is the
     estimate variance sqrt(rho_p)*beta*c; beta - gamma is the error
-    variance.
+    variance. The pipeline reads beta and gamma; mmse_c and xi are the
+    intermediates gamma is formed from, kept so that tests check each
+    against its own formula.
     """
 
     beta: np.ndarray

@@ -7,6 +7,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -29,8 +30,9 @@ _MODE_IDS = {"uncorr": 0, "corr": 1}
 
 def noise_power_w(grid: OtfsGrid, noise_figure_db: float) -> float:
     """Receiver noise power in watts over the full bandwidth M*delta_f."""
-    if noise_figure_db < 0:
-        raise ValueError("noise figure must be non-negative")
+    if not 0 <= noise_figure_db < math.inf:  # NaN fails too
+        raise ValueError("noise figure must be non-negative and finite, got "
+                         f"{noise_figure_db}")
     return (BOLTZMANN_J_PER_K * NOISE_TEMPERATURE_K * grid.bandwidth_hz
             * 10.0 ** (noise_figure_db / 10.0))
 
@@ -66,11 +68,13 @@ class PowerParams:
     noise_figure_db: float = 9.0
 
     def __post_init__(self):
-        if min(self.down_w, self.up_w, self.pilot_w) <= 0:
-            raise ValueError("transmit powers must be positive")
-        if not self.noise_figure_db >= 0:
-            raise ValueError("noise figure must be non-negative, got "
-                             f"{self.noise_figure_db}")
+        powers = (self.down_w, self.up_w, self.pilot_w)
+        if not all(0 < w < math.inf for w in powers):  # NaN fails too
+            raise ValueError("transmit powers must be positive and finite, "
+                             f"got {powers}")
+        if not 0 <= self.noise_figure_db < math.inf:
+            raise ValueError("noise figure must be non-negative and finite, "
+                             f"got {self.noise_figure_db}")
 
 
 @dataclass

@@ -4,6 +4,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +36,18 @@ class NetworkConfig:
     def __post_init__(self):
         if self.num_aps < 1 or self.num_users < 1:
             raise ValueError("need at least one AP and one user")
-        if not 0.0 < self.d0_m < self.d1_m < self.area_side_km * 1000.0:
-            raise ValueError("require 0 < d0 < d1 < area side")
-        if self.shadow_std_db < 0.0:
-            raise ValueError("shadow_std_db must be non-negative")
+        # The comparisons below are written so that NaN fails them too.
+        if not 0.0 < self.d0_m < self.d1_m < self.side_m < math.inf:
+            raise ValueError("require 0 < d0 < d1 < area side < infinity")
+        if not abs(self.path_loss_const_db) < math.inf:
+            raise ValueError("path_loss_const_db must be finite, got "
+                             f"{self.path_loss_const_db}")
+        if not 0.0 <= self.shadow_std_db < math.inf:
+            raise ValueError("shadow_std_db must be non-negative and finite, "
+                             f"got {self.shadow_std_db}")
+        if not 0.0 < self.decorr_distance_m < math.inf:
+            raise ValueError("decorr_distance_m must be positive and finite, "
+                             f"got {self.decorr_distance_m}")
         if not 0.0 <= self.ap_mix <= 1.0:
             raise ValueError("ap_mix must lie in [0, 1]")
 

@@ -195,6 +195,48 @@ def test_sample_all_paths_replays_five_call_stream(kwargs):
                                           expected[name], strict=True)
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), l_max=st.integers(0, 12),
+       data=st.data(), k_max=st.integers(0, 3), fractional=st.booleans())
+def test_distinct_delay_link_replays_choice(seed, l_max, data, k_max,
+                                            fractional):
+    # One distinct-delay link takes the stream of choice, the Doppler
+    # integers, random and the normals, and leaves the generator where
+    # those calls leave it.
+    n_paths = data.draw(st.integers(1, l_max + 1), label="n_paths")
+    rng = np.random.default_rng(seed)
+    link = sample_all_paths(np.full(n_paths, 0.4), l_max, k_max,
+                            OtfsGrid(doppler_bins=8, delay_bins=13), rng,
+                            fractional=fractional, distinct_delays=True)
+    ref = np.random.default_rng(seed)
+    delays = ref.choice(l_max + 1, n_paths, replace=False)
+    taps = ref.integers(-k_max, k_max + 1, n_paths)
+    fracs = ref.random(n_paths) - 0.5 if fractional else np.zeros(n_paths)
+    re, im = ref.standard_normal(n_paths), ref.standard_normal(n_paths)
+    np.testing.assert_array_equal(link.delay_taps, delays, strict=True)
+    np.testing.assert_array_equal(link.doppler, taps + fracs, strict=True)
+    np.testing.assert_array_equal(link.gains,
+                                  np.sqrt(0.4 / 2) * (re + 1j * im))
+    assert rng.random() == ref.random()
+
+
+def test_distinct_delays_beyond_floyd_branch_call_choice():
+    # With more than 10000 taps and L above a fiftieth of them numpy's
+    # choice shuffles a tail instead of running Floyd's algorithm; there
+    # the sampler calls choice itself, still one link after another.
+    grid = OtfsGrid(doppler_bins=8, delay_bins=10_050)
+    link = sample_all_paths(np.ones((2, 202)), 10_049, 2, grid,
+                            np.random.default_rng(3), fractional=False,
+                            distinct_delays=True)
+    ref = np.random.default_rng(3)
+    for row in range(2):
+        np.testing.assert_array_equal(
+            link.delay_taps[row], ref.choice(10_050, 202, replace=False))
+        np.testing.assert_array_equal(link.doppler[row],
+                                      ref.integers(-2, 3, 202))
+        ref.standard_normal(404)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_power_rejected(bad):
     with pytest.raises(ValueError, match="finite"):

@@ -12,6 +12,20 @@ def test_noise_command_prints_paper_value(capsys):
     assert "-108.44 dBm" in out
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--delta-f", "nan"], "frequencies must be positive and finite"),
+    (["--delta-f", "inf"], "frequencies must be positive and finite"),
+    (["--noise-figure", "nan"], "noise figure must be non-negative and finite"),
+    (["--noise-figure", "inf"], "noise figure must be non-negative and finite"),
+])
+def test_noise_rejects_non_finite_values(capsys, flags, message):
+    assert cli.main(["noise", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cfotfs: error: {message}")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_check_identities_passes(capsys):
     assert cli.main(["check-identities", "--paths", "20", "--seed", "3"]) == 0
     out = capsys.readouterr().out
@@ -145,6 +159,38 @@ def test_config_value_of_wrong_type_rejected(tmp_path, capsys, section, key,
     out = tmp_path / "sweep.csv"
     rc = cli.main(["run-vs-aps", "--config", str(cfg_path), "--realizations",
                    "1", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cfotfs: error: {message}")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("grid", "delta_f_hz", float("nan"),
+     "frequencies must be positive and finite"),
+    ("powers", "down_w", float("inf"),
+     "transmit powers must be positive and finite"),
+    ("network", "area_side_km", float("inf"),
+     "require 0 < d0 < d1 < area side < infinity"),
+    ("network", "shadow_std_db", float("nan"),
+     "shadow_std_db must be non-negative and finite"),
+    ("network", "path_loss_const_db", float("inf"),
+     "path_loss_const_db must be finite"),
+    ("network", "decorr_distance_m", 0,
+     "decorr_distance_m must be positive and finite"),
+], ids=["delta_f_nan", "down_w_inf", "area_inf", "shadow_nan", "loss_inf",
+        "decorr_zero"])
+def test_config_value_out_of_range_rejected(tmp_path, capsys, section, key,
+                                            value, message):
+    # json writes and reads NaN and Infinity; the config is refused when
+    # it is built, before any realization runs.
+    data = experiments.config_to_dict(experiments.desk_preset())
+    data[section][key] = value
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(data))
+    out = tmp_path / "cdf.csv"
+    rc = cli.main(["run-cdf", "--config", str(cfg_path), "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith(f"cfotfs: error: {message}")
