@@ -12,7 +12,7 @@ from .geometry import (Layout, NetworkConfig, apply_shadowing, path_loss_db,
                        place_network, wrapped_distance)
 from .operators import (chi_kappa_tables, dd_operator,
                         verify_operator_identities)
-from .rate import (PowerControl, RateReport, achievable_rate,
+from .rate import (PowerControl, RateReport, Realization, achievable_rate,
                    equal_power_control, power_constraint_load,
                    rate_distinct_delays)
 

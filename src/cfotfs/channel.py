@@ -102,6 +102,16 @@ def max_doppler_index(speed_kmh: float, grid: OtfsGrid) -> int:
     return int(math.ceil(nu_max / grid.doppler_resolution_hz))
 
 
+def check_tap_ranges(l_max: int, k_max: int, grid: OtfsGrid) -> None:
+    """Raise ValueError unless the grid holds the tap ranges: l_max in
+    [0, M - 1] and k_max in [0, max(N // 2 - 1, 0)]."""
+    if not 0 <= l_max <= grid.delay_bins - 1:
+        raise ValueError("l_max must lie in [0, delay_bins - 1]")
+    k_bound = max(grid.doppler_bins // 2 - 1, 0)
+    if not 0 <= k_max <= k_bound:
+        raise ValueError(f"k_max must lie in [0, {k_bound}] for this grid")
+
+
 def sample_all_paths(variances, l_max: int, k_max: int, grid: OtfsGrid,
                      seed=None, *, fractional: bool = True,
                      distinct_delays: bool = False) -> PathSet:
@@ -139,11 +149,7 @@ def sample_all_paths(variances, l_max: int, k_max: int, grid: OtfsGrid,
                          f"got shape {variances.shape}")
     if not np.all(np.isfinite(variances) & (variances > 0)):
         raise ValueError("path variances must be positive and finite")
-    if not 0 <= l_max <= grid.delay_bins - 1:
-        raise ValueError("l_max must lie in [0, delay_bins - 1]")
-    k_bound = max(grid.doppler_bins // 2 - 1, 0)
-    if not 0 <= k_max <= k_bound:
-        raise ValueError(f"k_max must lie in [0, {k_bound}] for this grid")
+    check_tap_ranges(l_max, k_max, grid)
     shape = variances.shape
     n_paths = shape[-1]
     if distinct_delays and n_paths > l_max + 1:

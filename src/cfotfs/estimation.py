@@ -25,6 +25,16 @@ def _doppler_guard_span(k_max: int, k_hat: int) -> int:
     return 4 * k_max + 4 * k_hat + 1
 
 
+def check_doppler_guard(k_max: int, k_hat: int, grid: OtfsGrid) -> int:
+    """The Doppler guard span, raising GuardWidthError unless the frame's
+    N Doppler bins leave room for data beside it."""
+    guard_span = _doppler_guard_span(k_max, k_hat)
+    if grid.doppler_bins <= guard_span:
+        raise GuardWidthError(f"Doppler guard spans {guard_span} bins, "
+                              f"frame only has {grid.doppler_bins}")
+    return guard_span
+
+
 def guard_overhead(l_max: int, k_max: int, k_hat: int) -> int:
     """Pilot plus guard bins consumed per user: 2*l_max+1 delay bins by
     the Doppler guard span."""
@@ -86,10 +96,7 @@ def compute_link_stats(beta_paths: np.ndarray, k_max: int, k_hat: int,
     beta_paths = np.asarray(beta_paths, dtype=float)
     n_aps, n_users, _ = beta_paths.shape
     n = grid.doppler_bins
-    guard_span = _doppler_guard_span(k_max, k_hat)
-    if n <= guard_span:
-        raise GuardWidthError(
-            f"Doppler guard spans {guard_span} bins, frame only has {n}")
+    guard_span = check_doppler_guard(k_max, k_hat, grid)
     # Pilot interference constant: every user's data spreads its link
     # power over the N Doppler bins, minus the share of user q's own data
     # that falls inside its guard. With g < N this is at least

@@ -10,16 +10,15 @@ import json
 import math
 import platform
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .channel import OtfsGrid, sample_all_paths
-from .estimation import compute_link_stats
+from .channel import OtfsGrid, check_tap_ranges, sample_all_paths
+from .estimation import check_doppler_guard, compute_link_stats
 from .geometry import NetworkConfig, apply_shadowing, place_network
-from .rate import (achievable_rate, equal_power_control, power_constraint_load,
-                   rate_distinct_delays)
+from .rate import (Realization, achievable_rate, equal_power_control,
+                   power_constraint_load, rate_distinct_delays)
 from .rng import substream
 
 BOLTZMANN_J_PER_K = 1.381e-23
@@ -103,6 +102,10 @@ class ExperimentConfig:
             if any(count < 1 for count in getattr(self, key)):
                 raise ValueError(f"{key} entries must be at least 1, "
                                  f"got {getattr(self, key)}")
+        # The sampler and the link statistics check these again; here a
+        # bad setting fails before any realization runs.
+        check_tap_ranges(self.channel.l_max, self.channel.k_max, self.grid)
+        check_doppler_guard(self.channel.k_max, self.channel.k_hat, self.grid)
 
     @property
     def modes(self) -> list:
@@ -210,11 +213,11 @@ def normalized_powers(powers: PowerParams, grid: OtfsGrid):
 
 
 def realize_links(net: NetworkConfig, grid: OtfsGrid, channel: ChannelParams,
-                  rho_u: float, rho_p: float, rng, correlated: bool = False):
+                  rho_d: float, rho_u: float, rho_p: float, rng,
+                  correlated: bool = False) -> Realization:
     """One network realization, drawn from rng: placement, shadowing, path
     sampling, MMSE statistics, equal power control and the per-AP load
-    check, each stage looked up in this module. Returns (paths, stats, pc).
-    """
+    check, each stage looked up in this module."""
     beta = apply_shadowing(place_network(net, rng), net, rng,
                            correlated=correlated)
     # Each path carries 1/L of its link's large-scale gain.
@@ -231,7 +234,7 @@ def realize_links(net: NetworkConfig, grid: OtfsGrid, channel: ChannelParams,
     if np.max(np.abs(load - 1.0)) > 1e-12:
         raise RuntimeError("per-AP power constraint violated: "
                            f"max deviation {np.max(np.abs(load - 1.0)):.3e}")
-    return paths, stats, pc
+    return Realization(grid, paths, stats, pc, rho_d)
 
 
 def realize_user_rates(config: ExperimentConfig, n_aps: int, n_users: int,
@@ -242,14 +245,14 @@ def realize_user_rates(config: ExperimentConfig, n_aps: int, n_users: int,
         raise ValueError(f"unknown shadowing mode {mode!r}")
     net = replace(config.network, num_aps=n_aps, num_users=n_users)
     grid, ch = config.grid, config.channel
-    rho_d, rho_u, rho_p = normalized_powers(config.powers, grid)
-    paths, stats, pc = realize_links(net, grid, ch, rho_u, rho_p, rng,
-                                     correlated=mode == "corr")
+    realization = realize_links(
+        net, grid, ch, *normalized_powers(config.powers, grid), rng,
+        correlated=mode == "corr")
     rate_fn = rate_distinct_delays if ch.distinct_delays else achievable_rate
     rates = np.empty(n_users)
     tputs = np.empty(n_users)
     for q in range(n_users):
-        report = rate_fn(q, stats, pc, paths, rho_d, grid)
+        report = rate_fn(q, realization)
         rates[q] = report.rate_bps_hz
         tputs[q] = report.throughput_bps
     return rates, tputs
@@ -306,6 +309,8 @@ def run_point(config: ExperimentConfig, n_aps: int, n_users: int,
     tasks = [(config, n_aps, n_users, mode, i)
              for i in range(config.realizations)]
     if config.workers > 1:
+        # Imported here: loading multiprocessing slows every serial run.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             results = list(pool.map(_realization_task, tasks, chunksize=4))
     else:

@@ -23,30 +23,19 @@ import numpy as np
 
 from . import rate as rate_mod
 from .channel import OtfsGrid, PathSet
-from .estimation import LinkStats, sample_estimate
+from .estimation import sample_estimate
 from .experiments import ChannelParams, realize_links
 from .geometry import NetworkConfig
 from .operators import dd_blocks
 from .rng import as_int_seed, as_rng, substream
 
 
-@dataclass
-class ValidationInstance:
-    """Frozen paths, statistics and power control for one validation run."""
-
-    grid: OtfsGrid
-    pathsets: PathSet
-    stats: LinkStats
-    pc: rate_mod.PowerControl
-    rho_d: float
-
-
 def random_instance(grid: OtfsGrid, n_aps: int, n_users: int, n_paths: int,
                     rho_d: float, rho_u: float, rho_p: float, seed=None, *,
                     l_max: int = None, k_max: int = 0,
                     fractional: bool = True,
-                    distinct_delays: bool = False) -> ValidationInstance:
-    """Random paths, estimation statistics and power control for validation.
+                    distinct_delays: bool = False) -> rate_mod.Realization:
+    """A random realization for validation.
 
     Runs the experiment driver's realization (experiments.realize_links)
     on a grid small enough for dense channel matrices, over the default
@@ -56,11 +45,8 @@ def random_instance(grid: OtfsGrid, n_aps: int, n_users: int, n_paths: int,
     channel = ChannelParams(n_paths=n_paths, l_max=l_max, k_max=k_max,
                             k_hat=0, fractional=fractional,
                             distinct_delays=distinct_delays)
-    pathsets, stats, pc = realize_links(
-        NetworkConfig(num_aps=n_aps, num_users=n_users), grid, channel,
-        rho_u, rho_p, as_rng(seed))
-    return ValidationInstance(grid=grid, pathsets=pathsets, stats=stats,
-                              pc=pc, rho_d=rho_d)
+    return realize_links(NetworkConfig(num_aps=n_aps, num_users=n_users),
+                         grid, channel, rho_d, rho_u, rho_p, as_rng(seed))
 
 
 # Trials are split into this many batches; standard errors come from the
@@ -119,8 +105,8 @@ def _row_gram(paths: PathSet, grid: OtfsGrid, q: int, r: int):
     return rows[q, :, r], rows @ rows.conj().transpose(0, 2, 1)
 
 
-def estimate_terms(instance: ValidationInstance, q: int, r: int, trials: int,
-                   seed=None) -> TermEstimates:
+def estimate_terms(instance: rate_mod.Realization, q: int, r: int,
+                   trials: int, seed=None) -> TermEstimates:
     """Estimate the four SINR terms of user q at bin r by simulation.
 
     The precoding for user q' reaches user q at bin r as the row
@@ -237,7 +223,7 @@ def _default_bins(grid: OtfsGrid, limit: int = 8) -> list:
     return sorted(picks)[:2 * limit]
 
 
-def validate_rate(instance: ValidationInstance, trials: int, seed=None,
+def validate_rate(instance: rate_mod.Realization, trials: int, seed=None,
                   gate: float = 0.05, bins=None, users=None) -> ValidationReport:
     """Compare closed-form SINR against the simulation oracle.
 

@@ -44,6 +44,17 @@ def power_constraint_load(stats: LinkStats, pc: PowerControl) -> np.ndarray:
 
 
 @dataclass
+class Realization:
+    """One network realization: what the rate functions and oracle read."""
+
+    grid: OtfsGrid
+    pathsets: PathSet
+    stats: LinkStats
+    pc: PowerControl
+    rho_d: float
+
+
+@dataclass
 class RateReport:
     """Per-user result: the SINR (the same at every DD bin), spectral
     efficiency and throughput, the total bandwidth M*delta_f times the
@@ -93,7 +104,9 @@ def closed_form_terms(q: int, r: int, stats: LinkStats, pc: PowerControl,
     """The four SINR terms of user q at bin r (desired-signal mean,
     beamforming-uncertainty variance, inter-symbol and inter-user
     interference powers), normalized by the downlink SNR. One coefficient
-    call covers every AP of the user. Used by the Monte Carlo validator."""
+    call covers every AP of the user. Used by the Monte Carlo validator;
+    the benchmark passes these six arguments positionally, the unused r
+    too, so they stay until its revision (ROADMAP item 5)."""
     check_index("bin", r, grid.size)
     check_index("user", q, stats.n_users)
     links = np.s_[:, q]
@@ -102,24 +115,23 @@ def closed_form_terms(q: int, r: int, stats: LinkStats, pc: PowerControl,
     return _user_terms(q, stats, pc, chi, kappa)
 
 
-def _report(terms, rho_d: float, grid: OtfsGrid) -> RateReport:
+def _report(terms, realization: Realization) -> RateReport:
     ds, bu, isi, iui = terms
-    sinr = assemble_sinr(ds, bu + isi + iui, rho_d)
+    sinr = assemble_sinr(ds, bu + isi + iui, realization.rho_d)
     rate = float(np.log2(1.0 + sinr))
     return RateReport(sinr=float(sinr), rate_bps_hz=rate,
-                      throughput_bps=rate * grid.bandwidth_hz)
+                      throughput_bps=rate * realization.grid.bandwidth_hz)
 
 
-def achievable_rate(q: int, stats: LinkStats, pc: PowerControl,
-                    pathsets: PathSet, rho_d: float, grid: OtfsGrid) -> RateReport:
+def achievable_rate(q: int, realization: Realization) -> RateReport:
     """Per-user achievable rate log2(1 + SINR); the SINR is the same at
     every DD bin, so this is also the mean over all MN bins."""
-    terms = closed_form_terms(q, 0, stats, pc, pathsets, grid)
-    return _report(terms, rho_d, grid)
+    terms = closed_form_terms(q, 0, realization.stats, realization.pc,
+                              realization.pathsets, realization.grid)
+    return _report(terms, realization)
 
 
-def rate_distinct_delays(q: int, stats: LinkStats, pc: PowerControl,
-                         pathsets: PathSet, rho_d: float, grid: OtfsGrid) -> RateReport:
+def rate_distinct_delays(q: int, realization: Realization) -> RateReport:
     """Fast path for links whose delay taps are pairwise distinct.
 
     Every cross-path pair then has (chi, kappa) = (0, 1) and every path
@@ -127,12 +139,13 @@ def rate_distinct_delays(q: int, stats: LinkStats, pc: PowerControl,
     at every AP, with no coefficient computation. Raises DistinctDelayError
     naming the first link of user q that repeats a delay tap.
     """
-    check_index("user", q, stats.n_users)
-    taps = np.sort(pathsets.delay_taps[:, q], axis=1)
+    check_index("user", q, realization.stats.n_users)
+    taps = np.sort(realization.pathsets.delay_taps[:, q], axis=1)
     repeats = np.any(taps[:, 1:] == taps[:, :-1], axis=1)
     if repeats.any():
         raise DistinctDelayError(
             f"link (ap={np.argmax(repeats)}, user={q}) repeats a delay tap")
     n_aps, n_paths = taps.shape
     eye = np.broadcast_to(np.eye(n_paths), (n_aps, n_paths, n_paths))
-    return _report(_user_terms(q, stats, pc, eye, 1.0 - eye), rho_d, grid)
+    terms = _user_terms(q, realization.stats, realization.pc, eye, 1.0 - eye)
+    return _report(terms, realization)

@@ -73,8 +73,7 @@ def test_criterion_02_closed_form_vs_oracle():
             if errors[key] > 0:
                 worst_z = max(worst_z,
                               abs(empirical[key] - closed[key]) / errors[key])
-        sinr_cf = achievable_rate(q, inst.stats, inst.pc, inst.pathsets,
-                                  rho_d, inst.grid).sinr
+        sinr_cf = achievable_rate(q, inst).sinr
         worst_rel = max(worst_rel,
                         abs(est.empirical_sinr(rho_d) - sinr_cf) / sinr_cf)
     elapsed = time.monotonic() - started
@@ -92,10 +91,8 @@ def test_criterion_03_distinct_delay_consistency():
         inst, rho_d = desk_validation_instance(500 + seed,
                                                distinct_delays=True)
         for q in range(inst.stats.n_users):
-            full = achievable_rate(q, inst.stats, inst.pc, inst.pathsets,
-                                   rho_d, inst.grid)
-            fast = rate_distinct_delays(q, inst.stats, inst.pc,
-                                        inst.pathsets, rho_d, inst.grid)
+            full = achievable_rate(q, inst)
+            fast = rate_distinct_delays(q, inst)
             per_bin = per_bin_sinr(q, inst.stats, inst.pc, inst.pathsets,
                                    rho_d, inst.grid)
             worst_rate_rel = max(
@@ -162,16 +159,16 @@ def test_criterion_07_guard_overhead():
 
 def test_criterion_08_power_constraint():
     config = experiments.desk_preset(seed=808)
-    _, rho_u, rho_p = experiments.normalized_powers(config.powers,
-                                                    config.grid)
+    rho_d, rho_u, rho_p = experiments.normalized_powers(config.powers,
+                                                        config.grid)
     worst = 0.0
     for i in range(50):
         # The realization runs the same load check; the load is read again
         # here to report the worst deviation.
-        _, stats, pc = experiments.realize_links(
-            config.network, config.grid, config.channel, rho_u, rho_p,
+        realization = experiments.realize_links(
+            config.network, config.grid, config.channel, rho_d, rho_u, rho_p,
             np.random.default_rng(808 + i))
-        load = power_constraint_load(stats, pc)
+        load = power_constraint_load(realization.stats, realization.pc)
         worst = max(worst, float(np.max(np.abs(load - 1.0))))
     report(8, worst <= 1e-12,
            f"50 desk realizations: worst per-AP deviation of "

@@ -198,6 +198,28 @@ def test_config_value_out_of_range_rejected(tmp_path, capsys, section, key,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("l_max", 100, "l_max must lie in [0, delay_bins - 1]"),
+    ("k_max", -2, "k_max must lie in [0, 1] for this grid"),
+    ("k_hat", -1, "guard widths must be non-negative"),
+    ("k_hat", 50, "Doppler guard spans 201 bins, frame only has 4"),
+], ids=["l_max", "k_max", "k_hat_negative", "k_hat_guard"])
+def test_channel_setting_the_grid_cannot_hold_rejected(tmp_path, capsys, key,
+                                                       value, message):
+    # The desk grid has 8 delay and 4 Doppler bins; the config is refused
+    # when it is built, not inside realization 0.
+    data = experiments.config_to_dict(experiments.desk_preset())
+    data["channel"][key] = value
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(data))
+    out = tmp_path / "cdf.csv"
+    rc = cli.main(["run-cdf", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"cfotfs: error: {message}\n"
+    assert not out.exists()
+
+
 def _without(key):
     data = experiments.config_to_dict(experiments.desk_preset())
     del data[key]

@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
 import pickle
 import platform
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,8 @@ from cfotfs.channel import OtfsGrid
 from cfotfs.experiments import ChannelParams
 from cfotfs.geometry import NetworkConfig, apply_shadowing, place_network
 from cfotfs.rng import substream
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def tiny_config(**kw):
@@ -110,6 +116,19 @@ class TestRunCdf:
         a = experiments.cdf_csv_bytes(experiments.run_cdf(serial))
         b = experiments.cdf_csv_bytes(experiments.run_cdf(parallel))
         assert a == b
+
+    def test_serial_run_never_loads_multiprocessing(self):
+        # Only a run with workers > 1 needs the process pool.
+        code = ("import sys\n"
+                "from cfotfs import experiments\n"
+                "cfg = experiments.desk_preset(realizations=1)\n"
+                "experiments.run_point(cfg, 8, 4, 'uncorr')\n"
+                "print(sorted(m for m in sys.modules\n"
+                "             if m.split('.')[0] == 'multiprocessing'))\n")
+        done = subprocess.run([sys.executable, "-c", code], check=True,
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": SRC})
+        assert done.stdout.strip() == "[]"
 
     def test_seed_changes_output(self):
         a = experiments.cdf_csv_bytes(experiments.run_cdf(tiny_config(seed=1)))
@@ -255,11 +274,12 @@ class TestRealizeLinks:
         # variance the sampler drew the gains with.
         config = experiments.desk_preset()
         net, channel = config.network, config.channel
-        _, rho_u, rho_p = experiments.normalized_powers(config.powers,
-                                                        config.grid)
-        paths, stats, _ = experiments.realize_links(
-            net, config.grid, channel, rho_u, rho_p,
+        rho_d, rho_u, rho_p = experiments.normalized_powers(config.powers,
+                                                            config.grid)
+        realization = experiments.realize_links(
+            net, config.grid, channel, rho_d, rho_u, rho_p,
             np.random.default_rng(3))
+        paths, stats = realization.pathsets, realization.stats
         rng = np.random.default_rng(3)
         beta = apply_shadowing(place_network(net, rng), net, rng)
         shape = beta.shape + (channel.n_paths,)

@@ -10,10 +10,11 @@ from cfotfs import experiments, montecarlo, operators
 from cfotfs.channel import OtfsGrid, PathSet
 from cfotfs.estimation import LinkStats
 from cfotfs.exceptions import EstimateStatisticsError
-from cfotfs.montecarlo import (BATCHES, ValidationInstance, estimate_terms,
-                               random_instance, validate_rate)
+from cfotfs.montecarlo import (BATCHES, estimate_terms, random_instance,
+                               validate_rate)
 from cfotfs.operators import dd_operator
-from cfotfs.rate import PowerControl, closed_form_terms, equal_power_control
+from cfotfs.rate import (PowerControl, Realization, closed_form_terms,
+                         equal_power_control)
 
 
 def make_stats(beta, gamma):
@@ -78,8 +79,8 @@ class TestEstimateTerms:
         stats = make_stats([[[beta]]], [[[beta]]])
         pc = equal_power_control(stats)
         ps = PathSet(delay_taps=[[[1]]], doppler=[[[0.3]]], gains=[[[1.0]]])
-        inst = ValidationInstance(grid=grid, pathsets=ps, stats=stats,
-                                  pc=pc, rho_d=1.0)
+        inst = Realization(grid=grid, pathsets=ps, stats=stats,
+                           pc=pc, rho_d=1.0)
         est = estimate_terms(inst, q=0, r=0, trials=10_000, seed=0)
         expected = pc.eta[0, 0] * beta**2
         assert est.bu_var == pytest.approx(expected, rel=0.05)
@@ -91,7 +92,7 @@ class TestEstimateTerms:
         inst = desk_instance(0)
         first_user = PathSet(**{f.name: getattr(inst.pathsets, f.name)[:, :1]
                                 for f in fields(PathSet)})
-        solo = ValidationInstance(
+        solo = Realization(
             grid=inst.grid,
             pathsets=first_user,
             stats=make_stats(inst.stats.beta[:, :1], inst.stats.gamma[:, :1]),
@@ -211,9 +212,9 @@ class TestEstimateTerms:
         grid = OtfsGrid(doppler_bins=2, delay_bins=2)
         stats = make_stats([[[0.5]]], [[[0.6]]])
         ps = PathSet(delay_taps=[[[0]]], doppler=[[[0.0]]], gains=[[[1.0]]])
-        inst = ValidationInstance(grid=grid, pathsets=ps, stats=stats,
-                                  pc=PowerControl(eta=np.ones((1, 1))),
-                                  rho_d=1.0)
+        inst = Realization(grid=grid, pathsets=ps, stats=stats,
+                           pc=PowerControl(eta=np.ones((1, 1))),
+                           rho_d=1.0)
         with pytest.raises(EstimateStatisticsError):
             estimate_terms(inst, q=0, r=0, trials=100, seed=0)
 
@@ -284,9 +285,9 @@ class TestValidateRate:
         # Very large downlink power: SINR saturates at the interference
         # ratio and the oracle still matches.
         inst = desk_instance(13)
-        big = ValidationInstance(grid=inst.grid, pathsets=inst.pathsets,
-                                 stats=inst.stats, pc=inst.pc,
-                                 rho_d=inst.rho_d * 1e6)
+        big = Realization(grid=inst.grid, pathsets=inst.pathsets,
+                          stats=inst.stats, pc=inst.pc,
+                          rho_d=inst.rho_d * 1e6)
         report = validate_rate(big, trials=4000, seed=6,
                                bins=[0, 3], users=[0])
         assert report.passed, report.to_dict()
@@ -299,9 +300,9 @@ class TestValidateRate:
         stats = LinkStats(beta=beta, mmse_c=np.zeros_like(beta),
                           gamma=np.zeros_like(beta), xi=np.zeros((1, 1)))
         ps = PathSet(delay_taps=[[[0]]], doppler=[[[0.0]]], gains=[[[1.0]]])
-        inst = ValidationInstance(grid=grid, pathsets=ps, stats=stats,
-                                  pc=PowerControl(eta=np.ones((1, 1))),
-                                  rho_d=10.0)
+        inst = Realization(grid=grid, pathsets=ps, stats=stats,
+                           pc=PowerControl(eta=np.ones((1, 1))),
+                           rho_d=10.0)
         est = estimate_terms(inst, q=0, r=0, trials=200, seed=8)
         assert est.ds == 0.0
         assert est.empirical_sinr(10.0) == 0.0

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,9 @@ from cfotfs import experiments, montecarlo, operators, rate
 from cfotfs.channel import OtfsGrid, PathSet
 from cfotfs.estimation import LinkStats
 from cfotfs.exceptions import DistinctDelayError, PowerControlError
-from cfotfs.rate import (PowerControl, achievable_rate, closed_form_terms,
-                         equal_power_control, power_constraint_load,
-                         rate_distinct_delays)
+from cfotfs.rate import (PowerControl, Realization, achievable_rate,
+                         closed_form_terms, equal_power_control,
+                         power_constraint_load, rate_distinct_delays)
 from cfotfs.rng import substream
 
 
@@ -86,18 +88,19 @@ class TestSinr:
         rho_d = 3.0
         eta = pc.eta[0, 0]
         expected = (rho_d * eta * 1.5**2) / (rho_d * eta * 2.0 * 1.5 + 1.0)
-        report = achievable_rate(0, stats, pc, pathsets, rho_d, grid)
+        report = achievable_rate(
+            0, Realization(grid, pathsets, stats, pc, rho_d))
         assert report.sinr == pytest.approx(expected, rel=1e-12)
 
     def test_zero_downlink_power(self):
         grid, stats, pc, pathsets = single_link_setup()
-        assert achievable_rate(0, stats, pc, pathsets, 0.0, grid).sinr == 0.0
+        assert achievable_rate(
+            0, Realization(grid, pathsets, stats, pc, 0.0)).sinr == 0.0
 
     def test_monotone_in_downlink_power(self):
         inst = random_instance(1)
         values = [
-            achievable_rate(0, inst.stats, inst.pc, inst.pathsets, rho,
-                            inst.grid).sinr
+            achievable_rate(0, replace(inst, rho_d=rho)).sinr
             for rho in np.logspace(8, 16, 12)
         ]
         assert np.all(np.diff(values) > 0)
@@ -111,8 +114,7 @@ class TestSinr:
             for q in range(inst.stats.n_users):
                 profile = per_bin_sinr(q, inst.stats, inst.pc, inst.pathsets,
                                        inst.rho_d, inst.grid)
-                sinr = achievable_rate(q, inst.stats, inst.pc, inst.pathsets,
-                                       inst.rho_d, inst.grid).sinr
+                sinr = achievable_rate(q, inst).sinr
                 for r in range(inst.grid.size):
                     assert sinr == pytest.approx(profile[r], rel=1e-12)
 
@@ -126,8 +128,7 @@ class TestSinr:
     def test_nonnegative(self):
         for seed in range(5):
             inst = random_instance(seed, n_paths=3)
-            report = achievable_rate(0, inst.stats, inst.pc, inst.pathsets,
-                                     inst.rho_d, inst.grid)
+            report = achievable_rate(0, inst)
             assert report.sinr >= 0.0
 
 
@@ -139,16 +140,16 @@ class TestAchievableRate:
         beta = 0.8
         stats, pc, pathsets = perfect_csi_two_aps(beta)
         rho_d = 1.0 / (2.0 * beta)
-        report = achievable_rate(0, stats, pc, pathsets, rho_d, grid)
+        realization = Realization(grid, pathsets, stats, pc, rho_d)
+        report = achievable_rate(0, realization)
         assert report.rate_bps_hz == pytest.approx(1.0, rel=1e-12)
         np.testing.assert_allclose(report.sinr, 1.0, rtol=1e-12)
-        fast = rate_distinct_delays(0, stats, pc, pathsets, rho_d, grid)
+        fast = rate_distinct_delays(0, realization)
         assert fast.rate_bps_hz == pytest.approx(1.0, rel=1e-12)
 
     def test_report_shape_and_mean(self):
         inst = random_instance(3)
-        report = achievable_rate(0, inst.stats, inst.pc, inst.pathsets,
-                                 inst.rho_d, inst.grid)
+        report = achievable_rate(0, inst)
         assert isinstance(report.sinr, float)
         assert report.rate_bps_hz == pytest.approx(
             np.log2(1.0 + report.sinr))
@@ -167,8 +168,7 @@ class TestAchievableRate:
 
         monkeypatch.setattr(rate, "chi_kappa_tables", counted)
         inst = random_instance(5, n_aps=3, n_paths=3)
-        achievable_rate(1, inst.stats, inst.pc, inst.pathsets, inst.rho_d,
-                        inst.grid)
+        achievable_rate(1, inst)
         assert calls == [(3, 3)]
         calls.clear()
         config = experiments.desk_preset(seed=1)
@@ -182,11 +182,8 @@ class TestDistinctDelayFastPath:
         for seed in range(6):
             inst = random_instance(seed, distinct=True)
             for q in range(inst.stats.n_users):
-                full = achievable_rate(q, inst.stats, inst.pc, inst.pathsets,
-                                       inst.rho_d, inst.grid)
-                fast = rate_distinct_delays(q, inst.stats, inst.pc,
-                                            inst.pathsets, inst.rho_d,
-                                            inst.grid)
+                full = achievable_rate(q, inst)
+                fast = rate_distinct_delays(q, inst)
                 assert fast.rate_bps_hz == pytest.approx(
                     full.rate_bps_hz, rel=1e-9)
                 # The dense per-bin SINR is flat and equals both reports.
@@ -209,9 +206,10 @@ class TestDistinctDelayFastPath:
                       gains=np.ones(shape))
         stats = make_stats(np.ones(shape), np.full(shape, 0.5))
         pc = equal_power_control(stats)
-        rate_distinct_delays(0, stats, pc, bad, 1.0, grid)
+        realization = Realization(grid, bad, stats, pc, 1.0)
+        rate_distinct_delays(0, realization)
         with pytest.raises(DistinctDelayError, match=r"ap=1, user=1\)"):
-            rate_distinct_delays(1, stats, pc, bad, 1.0, grid)
+            rate_distinct_delays(1, realization)
 
     def test_constant_tables_are_the_general_tables(self, monkeypatch):
         # On distinct taps the general coefficient tables are exactly the
@@ -229,8 +227,7 @@ class TestDistinctDelayFastPath:
             assert np.array_equal(kappa, np.broadcast_to(1.0 - eye,
                                                          kappa.shape))
             for q in range(inst.stats.n_users):
-                rate_distinct_delays(q, inst.stats, inst.pc, paths,
-                                     inst.rho_d, inst.grid)
+                rate_distinct_delays(q, inst)
         assert calls == []
 
     def test_single_user_has_no_interuser_term(self):
@@ -243,7 +240,8 @@ class TestDistinctDelayFastPath:
         ps = PathSet(delay_taps=[[[0, 2]]], doppler=[[[0.0, 0.0]]],
                      gains=[[[1.0, 1.0]]])
         rho_d = 2.0
-        report = rate_distinct_delays(0, stats, pc, ps, rho_d, grid)
+        report = rate_distinct_delays(0, Realization(grid, ps, stats, pc,
+                                                     rho_d))
         eta = pc.eta[0, 0]
         ds = np.sqrt(eta) * gamma.sum()
         den = rho_d * eta * beta.sum() * gamma.sum() + 1.0
@@ -264,8 +262,7 @@ class TestUserIndex:
         inst = random_instance(2)
         for q in (-1, inst.stats.n_users):
             with pytest.raises(ValueError, match=f"user index {q} outside"):
-                achievable_rate(q, inst.stats, inst.pc, inst.pathsets,
-                                inst.rho_d, inst.grid)
+                achievable_rate(q, inst)
 
     def test_rate_distinct_delays(self):
         # The last user repeats a delay tap, so user -1 must be rejected
@@ -279,7 +276,8 @@ class TestUserIndex:
         pc = equal_power_control(stats)
         for q in (-1, 2):
             with pytest.raises(ValueError, match=f"user index {q} outside"):
-                rate_distinct_delays(q, stats, pc, paths, 1.0, grid)
+                rate_distinct_delays(
+                    q, Realization(grid, paths, stats, pc, 1.0))
 
 
 class TestThroughput:
@@ -289,7 +287,8 @@ class TestThroughput:
     def test_bandwidth_times_rate(self):
         grid = OtfsGrid(doppler_bins=20, delay_bins=30, delta_f_hz=15e3)
         stats, pc, pathsets = perfect_csi_two_aps(0.8)
-        report = achievable_rate(0, stats, pc, pathsets, 1.0 / 1.6, grid)
+        report = achievable_rate(
+            0, Realization(grid, pathsets, stats, pc, 1.0 / 1.6))
         assert report.rate_bps_hz == pytest.approx(1.0, rel=1e-12)
         assert report.throughput_bps == pytest.approx(0.45e6)
 
@@ -297,14 +296,15 @@ class TestThroughput:
         grid = OtfsGrid(doppler_bins=20, delay_bins=30)
         stats, pc, pathsets = perfect_csi_two_aps()
         for rate_fn in (achievable_rate, rate_distinct_delays):
-            assert rate_fn(0, stats, pc, pathsets, 0.0,
-                           grid).throughput_bps == 0.0
+            assert rate_fn(0, Realization(grid, pathsets, stats, pc,
+                                          0.0)).throughput_bps == 0.0
 
     def test_linear_in_subcarrier_spacing(self):
         g1 = OtfsGrid(doppler_bins=20, delay_bins=30, delta_f_hz=15e3)
         g2 = OtfsGrid(doppler_bins=20, delay_bins=30, delta_f_hz=30e3)
         stats, pc, pathsets = perfect_csi_two_aps()
-        r1, r2 = (achievable_rate(0, stats, pc, pathsets, 7.0, g)
+        r1, r2 = (achievable_rate(0, Realization(g, pathsets, stats, pc,
+                                                 7.0))
                   for g in (g1, g2))
         assert r2.rate_bps_hz == r1.rate_bps_hz
         assert r2.throughput_bps == pytest.approx(2.0 * r1.throughput_bps)
@@ -324,8 +324,7 @@ def test_rate_decreases_with_more_users():
                 grid, n_aps=4, n_users=n_users, n_paths=2, rho_d=rho_d,
                 rho_u=rho_u, rho_p=rho_p, seed=100 + seed)
             rates.extend(
-                achievable_rate(q, inst.stats, inst.pc, inst.pathsets,
-                                rho_d, inst.grid).rate_bps_hz
+                achievable_rate(q, inst).rate_bps_hz
                 for q in range(n_users))
         means.append(np.mean(rates))
     assert means[1] < means[0]
