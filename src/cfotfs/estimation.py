@@ -94,7 +94,9 @@ def compute_link_stats(beta_paths: np.ndarray, k_max: int, k_hat: int,
     variance tensor beta_paths[p, q, i], with each user's embedded pilot
     sent at power rho_p inside a Doppler guard set by k_max and k_hat."""
     beta_paths = np.asarray(beta_paths, dtype=float)
-    n_aps, n_users, _ = beta_paths.shape
+    if beta_paths.ndim != 3:
+        raise ValueError("path variances must be shaped (AP, user, path), "
+                         f"got shape {beta_paths.shape}")
     n = grid.doppler_bins
     guard_span = check_doppler_guard(k_max, k_hat, grid)
     # Pilot interference constant: every user's data spreads its link

@@ -8,11 +8,10 @@ inter-user interference. Only row r of each channel product enters them,
 so once per call the oracle builds the row products T_pq,i[r, :] T_pq',j^H
 from the paths' N x N Doppler blocks (operators.dd_blocks: row r of T is
 nonzero in one delay column only), never from dense MN x MN operators,
-and reduces each user's to a Gram matrix; a trial then costs
-O((P L^2)^2) per user, whatever the grid size. It never forms a channel
-matrix, and each batch draws all its gains with one sample_estimate
-call, in the same order (AP, user) as a computation with explicit
-channel matrices would.
+on the D <= min(M, 2 l_max + 1) delay rows they occupy; a trial then
+costs O(P L^2 D N) per user. It never forms a channel matrix, and each
+batch draws all its gains with one sample_estimate call, in the same
+order (AP, user) as a computation with explicit channel matrices would.
 """
 
 from __future__ import annotations
@@ -78,31 +77,33 @@ class TermEstimates:
                                             rho_d))
 
 
-def _row_gram(paths: PathSet, grid: OtfsGrid, q: int, r: int):
-    """(R_q[:, r], R_q' R_q'^H for every user q') from the bin-r row
-    products R_q'[(p, i, j), :] = T_pq,i[r, :] T_pq',j^H. Row r = r1*M + r2
-    of T_pq,i is row r1 of its Doppler block at delay column
-    c2 = (r2 - l_i) mod M and zero elsewhere, so a row product is N values
-    at delay row (c2 + l_j) mod M: P L blocks and P Q L L blocks, never an
-    MN x MN operator.
+def _row_products(paths: PathSet, grid: OtfsGrid, q: int, r: int):
+    """(R_q[:, r], R_q' for every user q') of the bin-r row products
+    R_q'[(p, i, j), :] = T_pq,i[r, :] T_pq',j^H. Row r = r1*M + r2 of
+    T_pq,i is row r1 of its Doppler block at column c2 = (r2 - l_i) mod M
+    and zero elsewhere, so a row product is N values at delay row
+    (c2 + l_j) mod M, from one dd_blocks call of P Q L L blocks. R_q'
+    keeps the D <= min(M, 2 l_max + 1) delay rows that occur: (P L^2, N D).
     """
     m = grid.delay_bins
     r1, r2 = divmod(r, m)
     taps, doppler = paths.delay_taps, paths.doppler
-    n_aps, n_users, n_paths = taps.shape
     cols = (r2 - taps[:, q]) % m
-    first = dd_blocks(taps[:, q], doppler[:, q], cols, grid)[..., r1, :]
     # blocks[p, q', i, j] = block of T_pq',j at user q's column cols[p, i].
     blocks = dd_blocks(taps[:, :, None, :], doppler[:, :, None, :],
                        cols[:, None, :, None], grid)
-    values = np.einsum("pin,pkijcn->kpijc", first, blocks.conj())
-    delay_rows = (cols[:, None, :, None] + taps[:, :, None, :]) % m
-    rows = np.zeros((n_users, n_aps, n_paths, n_paths, grid.doppler_bins, m),
-                    dtype=complex)
-    np.put_along_axis(rows, delay_rows.swapaxes(0, 1)[..., None, None],
+    # Conjugating user q's rows (i = j), not the blocks, saves a copy.
+    values = np.einsum("piin,pkijcn->kpijc", blocks[:, q, :, :, r1].conj(),
+                       blocks).conj()
+    # By delay row, not by offset l_j - l_i: offsets M apart share a row.
+    absolute = (cols[..., None] + taps.swapaxes(0, 1)[:, :, None]) % m
+    delay_rows, inverse = np.unique(absolute, return_inverse=True)
+    rows = np.zeros(values.shape + (delay_rows.size,), dtype=complex)
+    np.put_along_axis(rows, inverse.reshape(absolute.shape + (1, 1)),
                       values[..., None], axis=-1)
-    rows = rows.reshape(n_users, -1, grid.size)
-    return rows[q, :, r], rows @ rows.conj().transpose(0, 2, 1)
+    rows = rows.reshape(len(rows), -1, grid.doppler_bins * delay_rows.size)
+    at_r = r1 * delay_rows.size + np.searchsorted(delay_rows, r2)
+    return rows[q, :, at_r], rows
 
 
 def estimate_terms(instance: rate_mod.Realization, q: int, r: int,
@@ -113,17 +114,15 @@ def estimate_terms(instance: rate_mod.Realization, q: int, r: int,
     g_q' = c_q' R_q', with per-trial coefficients
     c_q'[(p, i, j)] = sqrt(eta_pq') h_pq,i conj(hhat_pq',j) and row
     products R_q'[(p, i, j), :] = T_pq,i[r, :] T_pq',j^H. Once per call,
-    _row_gram builds the row products from the paths' N x N Doppler
-    blocks and forms each user's Gram matrix R_q' R_q'^H. A trial's bin-r
-    sample is then c_q R_q[:, r] and its row energy sum_d |g_q',d|^2 is
-    c_q' R_q' R_q'^H c_q'^H: O((P L^2)^2) per user and trial, whatever the
-    grid. Each batch of trials draws every (gain,
-    estimate) pair with one sample_estimate call on its own substream, so
-    the estimates do not depend on execution order. An integer seed keys
-    the substreams directly; a Generator (or None) draws that key. Raises
-    ValueError for fewer than 2 * BATCHES trials, since each batch needs a
-    sample variance, and EstimateStatisticsError unless
-    0 <= gamma <= beta.
+    _row_products builds them from the paths' Doppler blocks, on the
+    D <= min(M, 2 l_max + 1) delay rows they occupy. A trial's bin-r sample
+    is c_q R_q[:, r] and its row energy ||c_q' R_q'||^2: O(P L^2 D N) per
+    user and trial. Each batch of trials draws every (gain, estimate) pair
+    with one sample_estimate call on its own substream, so the estimates
+    do not depend on execution order. An integer seed keys the substreams
+    directly; a Generator (or None) draws that key. Raises ValueError for
+    fewer than 2 * BATCHES trials, since each batch needs a sample
+    variance, and EstimateStatisticsError unless 0 <= gamma <= beta.
     """
     grid = instance.grid
     stats, pc, paths = instance.stats, instance.pc, instance.pathsets
@@ -133,7 +132,7 @@ def estimate_terms(instance: rate_mod.Realization, q: int, r: int,
         raise ValueError(f"trials must be at least {2 * BATCHES} (two per "
                          f"batch), got {trials}")
     per_batch = trials // BATCHES
-    column, gram = _row_gram(paths, grid, q, r)
+    column, rows = _row_products(paths, grid, q, r)
     n_users = stats.n_users
     seed = as_int_seed(seed)
     scales = np.sqrt(pc.eta)
@@ -147,7 +146,8 @@ def estimate_terms(instance: rate_mod.Realization, q: int, r: int,
                          h_hat.conj()).reshape(n_users, per_batch, -1)
         a[b] = coef[q] @ column
         # energy[b, q', t] = sum_d |g_q',d|^2 of trial t.
-        energy[b] = ((coef @ gram) * coef.conj()).sum(axis=2).real
+        g = (coef @ rows).view(float)
+        energy[b] = np.einsum("ktd,ktd->kt", g, g)
     ds_b = a.mean(axis=1)
     bu_b = a.var(axis=1, ddof=1)
     isi_b = energy[:, q].mean(axis=1) - (np.abs(a) ** 2).mean(axis=1)

@@ -342,7 +342,7 @@ def test_validate_report_bytes(tmp_path):
     assert cli.main(["validate", "--trials", "3000", "--instances", "1",
                      "--seed", "2", "--out", str(out)]) == 0
     assert hashlib.sha1(out.read_bytes()).hexdigest() == \
-        "6c7b2103b735ad62997b307cca05b252b764eaf1"
+        "585e0e37a6056691e5503232e7a51530b7d7bd4c"
 
 
 @pytest.mark.parametrize("argv, sha1", [

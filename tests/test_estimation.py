@@ -220,6 +220,12 @@ class TestComputeLinkStats:
         own_leakage = (20 - 17) / 20**2 * beta.sum(axis=2)
         assert np.all(stats.xi >= own_leakage * (1 - 1e-12))
 
+    def test_variances_need_ap_user_and_path_axes(self):
+        with pytest.raises(ValueError, match=r"\(AP, user, path\), got "
+                                             r"shape \(2, 2\)"):
+            compute_link_stats(np.ones((2, 2)), 0, 0, 1.0, 1.0,
+                               OtfsGrid(4, 8))
+
     def test_matches_scalar_path(self):
         rng = np.random.default_rng(3)
         beta = rng.uniform(1e-12, 1e-8, size=(2, 3, 4))

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,8 @@ from cfotfs.montecarlo import (BATCHES, estimate_terms, random_instance,
 from cfotfs.operators import dd_operator
 from cfotfs.rate import (PowerControl, Realization, closed_form_terms,
                          equal_power_control)
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def make_stats(beta, gamma):
@@ -163,8 +169,8 @@ class TestEstimateTerms:
         assert np.isfinite(est.bu_var) and np.isfinite(est.bu_se)
 
     def test_row_products_built_from_blocks_only(self, monkeypatch):
-        # No dense operator is built: user q's P L blocks give its bin-r
-        # rows, and P Q L L blocks give every link's row products.
+        # No dense operator is built: one dd_blocks call of P Q L L blocks
+        # gives every link's row products, user q's bin-r rows included.
         inst = three_user_instance()
 
         def dense(*args):
@@ -181,16 +187,20 @@ class TestEstimateTerms:
         monkeypatch.setattr(montecarlo, "dd_blocks", counted)
         estimate_terms(inst, q=1, r=13, trials=100, seed=1)
         n_aps, n_users, n_paths = inst.pathsets.delay_taps.shape
-        assert sum(built) == (n_aps * n_paths
-                              + n_aps * n_users * n_paths ** 2)
+        assert built == [n_aps * n_users * n_paths ** 2]
 
-    @pytest.mark.parametrize("r", [7 * 30 + 2, 599],
-                             ids=["inside-span", "last"])
-    def test_row_gram_matches_dense_operators(self, r):
+    @pytest.mark.parametrize("delay_bins, l_max, r", [
+        (30, 4, 7 * 30 + 2),
+        (30, 4, 599),
+        (6, 4, 4 * 6 + 1),
+    ], ids=["inside-span", "last", "aliased-delay-rows"])
+    def test_row_products_match_dense_operators(self, delay_bins, l_max, r):
         # Bin 7 * 30 + 2 has delay coordinate 2, inside the path span
-        # l_max = 4, so some of its columns carry a Doppler step.
-        inst = grid_instance(30, 20, 4, n_paths=5, l_max=4, k_max=3,
-                             fractional=True)
+        # l_max = 4, so some of its columns carry a Doppler step. On the
+        # 6 x 20 grid 2 l_max + 1 = 9 > M, so offsets l_j - l_i that
+        # differ by M share a delay row.
+        inst = grid_instance(delay_bins, 20, 4, n_paths=5, l_max=l_max,
+                             k_max=3, fractional=True)
         paths, q = inst.pathsets, 1
         n_aps, n_users, n_paths = paths.delay_taps.shape
         rows = np.empty((n_users, n_aps, n_paths, n_paths, inst.grid.size),
@@ -203,10 +213,43 @@ class TestEstimateTerms:
                                   inst.grid)
                 rows[k, p] = np.einsum("ic,jdc->ijd", row_r, ops.conj())
         rows = rows.reshape(n_users, -1, inst.grid.size)
-        column, gram = montecarlo._row_gram(paths, inst.grid, q, r)
+        column, compact = montecarlo._row_products(paths, inst.grid, q, r)
         np.testing.assert_allclose(column, rows[q, :, r], rtol=0, atol=1e-13)
+        # Equal Gram matrices: compaction dropped only zero columns.
+        gram = compact @ compact.conj().transpose(0, 2, 1)
         np.testing.assert_allclose(gram, rows @ rows.conj().transpose(0, 2, 1),
                                    rtol=0, atol=1e-13)
+        width = min(delay_bins, 2 * l_max + 1) * inst.grid.doppler_bins
+        assert compact.shape[2] <= width
+
+    @pytest.mark.slow
+    def test_paper_scale_call_stays_small(self):
+        # 40 APs, 20 users and 5 paths on the 30 x 20 grid with the
+        # paper's tap ranges: 400 trials stay below 600 MB peak RSS, which
+        # a per-user (P L^2) x (P L^2) Gram matrix would exceed. Peak RSS
+        # is read on one BLAS thread, in a process of its own.
+        code = (
+            "import resource\n"
+            "import numpy as np\n"
+            "from cfotfs import experiments\n"
+            "from cfotfs.channel import OtfsGrid\n"
+            "from cfotfs.montecarlo import estimate_terms, random_instance\n"
+            "grid = OtfsGrid(doppler_bins=20, delay_bins=30)\n"
+            "powers = experiments.normalized_powers(\n"
+            "    experiments.PowerParams(), grid)\n"
+            "inst = random_instance(grid, 40, 20, 5, *powers, seed=3,\n"
+            "                       l_max=2, k_max=3)\n"
+            "est = estimate_terms(inst, q=0, r=37, trials=400, seed=0)\n"
+            "assert np.all(np.isfinite([est.ds, est.ds_se, est.bu_var,\n"
+            "    est.bu_se, est.isi_power, est.isi_se, est.iui_power,\n"
+            "    est.iui_se]))\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        done = subprocess.run([sys.executable, "-c", code], check=True,
+                              capture_output=True, text=True, timeout=600,
+                              env={**os.environ, "PYTHONPATH": SRC,
+                                   "OMP_NUM_THREADS": "1",
+                                   "OPENBLAS_NUM_THREADS": "1"})
+        assert int(done.stdout) / 1024 < 600
 
     def test_estimate_above_gain_variance_rejected(self):
         grid = OtfsGrid(doppler_bins=2, delay_bins=2)
