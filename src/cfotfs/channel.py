@@ -96,8 +96,9 @@ def max_doppler_index(speed_kmh: float, grid: OtfsGrid) -> int:
     The maximum Doppler shift f_c*v/c is measured against the Doppler
     resolution 1/(N*T) and rounded up.
     """
-    if speed_kmh < 0:
-        raise ValueError("speed must be non-negative")
+    if not 0 <= speed_kmh < math.inf:  # NaN fails too
+        raise ValueError(f"speed must be non-negative and finite, got "
+                         f"{speed_kmh}")
     nu_max = grid.carrier_hz * (speed_kmh / 3.6) / SPEED_OF_LIGHT
     return int(math.ceil(nu_max / grid.doppler_resolution_hz))
 
@@ -127,21 +128,18 @@ def sample_all_paths(variances, l_max: int, k_max: int, grid: OtfsGrid,
 
     Links are drawn one after another in row-major order, each with three
     generator calls into preallocated arrays: one array-bounded integers
-    call, its fractions and its 2 x L standard normals, real parts first.
-    The integers call draws the L delay taps on [0, l_max], then the L
-    Doppler taps on [-k_max, k_max]. With distinct_delays its delay part
-    is the 2L - 1 draws numpy's Generator.choice(l_max + 1, L,
-    replace=False) makes through the same bounded-integer routine:
-    Floyd's L values on [0, j] for j = l_max + 1 - L .. l_max, then its
-    shuffle's swap indices on [0, i] for i = L - 1 .. 1. Floyd's rule and
-    the swaps then run once for all links (_floyd_shuffle). numpy takes
-    another branch when l_max + 1 > 10000 and L > (l_max + 1) // 50;
-    there each link calls choice, then integers for its Doppler taps.
-    The fractions are shifted, added to the taps and the gains assembled
-    once for the whole network. This is the same stream as drawing delays
-    (with choice for distinct delays), Doppler taps, uniform(-0.5, 0.5)
-    fractions and the real and imaginary normals with one call each, bit
-    for bit.
+    call, one random call and its 2 x L standard normals, real parts
+    first. The integers call draws the L delay taps on [0, l_max], unless
+    they must be distinct, then the L Doppler taps on [-k_max, k_max].
+    The random call draws l_max + 1 sort keys when delays are distinct,
+    then the L fractions when Doppler is fractional. A distinct link's
+    delay taps are the first L entries of a stable argsort of its keys: a
+    uniformly random ordered subset, as Generator.choice(l_max + 1, L,
+    replace=False) gives. The fractions are shifted, added to the taps
+    and the gains assembled once for the whole network. Without distinct
+    delays this is the same stream as drawing delays, Doppler taps,
+    uniform(-0.5, 0.5) fractions and the real and imaginary normals with
+    one call each, bit for bit.
     """
     variances = np.asarray(variances, dtype=float)
     if variances.ndim < 1 or variances.shape[-1] < 1:
@@ -158,54 +156,28 @@ def sample_all_paths(variances, l_max: int, k_max: int, grid: OtfsGrid,
 
     rng = as_rng(seed)
     n_links = variances.size // n_paths
-    if distinct_delays:  # Floyd's values, then the shuffle's swap indices
-        tops = np.r_[l_max + 1 - n_paths:l_max + 1, n_paths - 1:0:-1]
-    else:
-        tops = np.full(n_paths, l_max)
-    # Bounds of each link's integers call: delay draws, then Doppler taps.
-    low = np.r_[np.zeros_like(tops), np.full(n_paths, -k_max)]
-    high = np.r_[tops, np.full(n_paths, k_max)] + 1
-    # numpy's choice takes a tail shuffle here, which is not replayed.
-    tail_shuffle = (distinct_delays and l_max + 1 > 10_000
-                    and n_paths > (l_max + 1) // 50)
+    # Bounds of each link's integers call: delay taps unless distinct,
+    # then Doppler taps. Distinct delays sort keys instead.
+    n_keys, n_delays = (l_max + 1, 0) if distinct_delays else (0, n_paths)
+    low = np.r_[np.zeros(n_delays, dtype=int), np.full(n_paths, -k_max)]
+    high = np.r_[np.full(n_delays, l_max), np.full(n_paths, k_max)] + 1
     draws = np.empty((n_links, low.size), dtype=int)
-    fracs = np.zeros((n_links, n_paths))
+    uniforms = np.empty((n_links, n_keys + n_paths * fractional))
     normals = np.empty((n_links, 2, n_paths))
     for i in range(n_links):
-        if tail_shuffle:
-            draws[i, :n_paths] = rng.choice(l_max + 1, size=n_paths,
-                                            replace=False)
-            draws[i, -n_paths:] = rng.integers(-k_max, k_max + 1, n_paths)
-        else:
-            draws[i] = rng.integers(low, high)
-        if fractional:
-            rng.random(out=fracs[i])
+        draws[i] = rng.integers(low, high)
+        if uniforms.shape[1]:
+            rng.random(out=uniforms[i])
         rng.standard_normal(out=normals[i])
-    if fractional:
-        fracs -= 0.5  # uniform(-0.5, 0.5) is -0.5 + 1.0 * random()
-    delays = draws[:, :n_paths]
-    if distinct_delays and not tail_shuffle:
-        delays = _floyd_shuffle(draws[:, :-n_paths], l_max)
-    k = draws[:, -n_paths:]  # integer Doppler taps
+    if distinct_delays:
+        delays = np.argsort(uniforms[:, :n_keys], axis=1,
+                            kind="stable")[:, :n_paths]
+    else:
+        delays = draws[:, :n_paths]
+    # uniform(-0.5, 0.5) is -0.5 + 1.0 * random()
+    fracs = uniforms[:, n_keys:] - 0.5 if fractional else 0.0
+    doppler = draws[:, -n_paths:] + fracs  # integer taps plus fractions
     re, im = normals.swapaxes(0, 1).reshape((2,) + shape)
     return PathSet(delay_taps=delays.reshape(shape),
-                   doppler=k.reshape(shape) + fracs.reshape(shape),
+                   doppler=doppler.reshape(shape),
                    gains=cn_from_normals(variances, re, im))
-
-
-def _floyd_shuffle(draws, l_max: int) -> np.ndarray:
-    """Generator.choice(l_max + 1, L, replace=False) of every link, from
-    the (links, 2L - 1) draws it takes: Floyd's L values, then the L - 1
-    swap indices of its shuffle."""
-    n_paths = (draws.shape[1] + 1) // 2
-    values, swaps = draws[:, :n_paths], draws[:, n_paths:]
-    taps = np.empty_like(values)
-    for t in range(n_paths):
-        # Floyd: a value already taken becomes the top of its range.
-        taken = (taps[:, :t] == values[:, t, None]).any(axis=1)
-        taps[:, t] = np.where(taken, l_max + 1 - n_paths + t, values[:, t])
-    rows = np.arange(len(taps))
-    for s, i in enumerate(range(n_paths - 1, 0, -1)):
-        j = swaps[:, s]
-        taps[rows, i], taps[rows, j] = taps[rows, j], taps[rows, i]
-    return taps

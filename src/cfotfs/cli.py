@@ -146,7 +146,8 @@ def cmd_check_identities(args) -> int:
 
 
 def cmd_noise(args) -> int:
-    grid = OtfsGrid(doppler_bins=args.doppler_bins, delay_bins=args.delay_bins,
+    # The noise power reads only the bandwidth M * delta_f.
+    grid = OtfsGrid(doppler_bins=1, delay_bins=args.delay_bins,
                     delta_f_hz=args.delta_f)
     dbm = experiments.noise_power_dbm(grid, args.noise_figure)
     print(f"noise power over {grid.bandwidth_hz / 1e3:.1f} kHz with "
@@ -198,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("noise", help="receiver noise power in dBm")
     p.add_argument("--delay-bins", type=int, default=30)
-    p.add_argument("--doppler-bins", type=int, default=20)
     p.add_argument("--delta-f", type=float, default=15e3)
     p.add_argument("--noise-figure", type=float, default=9.0)
     p.set_defaults(func=cmd_noise)

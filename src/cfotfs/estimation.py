@@ -8,6 +8,7 @@ computed in closed form from the network's large-scale coefficients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,12 +52,15 @@ def mmse_coeff(beta, rho_p: float, rho_u: float, xi):
     exceeds beta.
     """
     beta = np.asarray(beta, dtype=float)
-    if np.any(beta <= 0):
-        raise ValueError("beta must be positive")
-    if rho_p <= 0:
-        raise ValueError("pilot power must be positive")
-    if rho_u < 0:
-        raise ValueError("uplink power rho_u must be non-negative")
+    bad = beta[~((beta > 0) & np.isfinite(beta))]
+    if bad.size:
+        raise ValueError(f"beta must be positive and finite, got {bad[0]}")
+    if not 0 < rho_p < math.inf:  # NaN fails too
+        raise ValueError("pilot power rho_p must be positive and finite, "
+                         f"got {rho_p}")
+    if not 0 <= rho_u < math.inf:
+        raise ValueError("uplink power rho_u must be non-negative and "
+                         f"finite, got {rho_u}")
     xi = np.asarray(xi, dtype=float)
     if np.any(xi < 0):
         raise ValueError("interference constant xi must be non-negative")

@@ -218,6 +218,9 @@ def realize_links(net: NetworkConfig, grid: OtfsGrid, channel: ChannelParams,
     """One network realization, drawn from rng: placement, shadowing, path
     sampling, MMSE statistics, equal power control and the per-AP load
     check, each stage looked up in this module."""
+    if not 0 <= rho_d < math.inf:  # NaN fails too
+        raise ValueError("downlink power rho_d must be non-negative and "
+                         f"finite, got {rho_d}")
     beta = apply_shadowing(place_network(net, rng), net, rng,
                            correlated=correlated)
     # Each path carries 1/L of its link's large-scale gain.
@@ -230,10 +233,10 @@ def realize_links(net: NetworkConfig, grid: OtfsGrid, channel: ChannelParams,
     stats = compute_link_stats(variances, channel.k_max, channel.k_hat,
                                rho_p, rho_u, grid)
     pc = equal_power_control(stats)
-    load = power_constraint_load(stats, pc)
-    if np.max(np.abs(load - 1.0)) > 1e-12:
-        raise RuntimeError("per-AP power constraint violated: "
-                           f"max deviation {np.max(np.abs(load - 1.0)):.3e}")
+    dev = np.max(np.abs(power_constraint_load(stats, pc) - 1.0))
+    if not dev <= 1e-12:  # NaN fails too
+        raise RuntimeError(f"per-AP power constraint violated: max deviation "
+                           f"{dev:.3e}")
     return Realization(grid, paths, stats, pc, rho_d)
 
 

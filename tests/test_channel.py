@@ -37,6 +37,12 @@ class TestMaxDopplerIndex:
         assert math.ceil(nu_max / 750.0) == 1
         assert max_doppler_index(100.0, PAPER_GRID) == 1
 
+    @pytest.mark.parametrize("speed", [math.inf, math.nan, -1.0])
+    def test_bad_speed_named(self, speed):
+        with pytest.raises(ValueError, match="speed must be non-negative and "
+                                             f"finite, got {speed}"):
+            max_doppler_index(speed, PAPER_GRID)
+
 
 class TestSamplePaths:
     def test_paper_config_ranges(self):
@@ -164,8 +170,8 @@ def test_sample_all_paths_draws_links_in_row_major_order():
                                               getattr(link, name))
 
 
-@pytest.mark.parametrize("kwargs", [
-    {}, {"distinct_delays": True, "fractional": False}])
+# test_distinct_delay_links_sort_keys pins the distinct-delay stream.
+@pytest.mark.parametrize("kwargs", [{}])
 def test_sample_all_paths_replays_five_call_stream(kwargs):
     # Reference: the sampler's earlier loop, five generator calls per link
     # (delays, Doppler taps, fractions, real parts, imaginary parts),
@@ -178,15 +184,9 @@ def test_sample_all_paths_replays_five_call_stream(kwargs):
                              np.random.default_rng(11), **kwargs)
     rng = np.random.default_rng(11)
     for p, q in np.ndindex(2, 3):
-        if kwargs.get("distinct_delays"):
-            delays = rng.choice(3, size=3, replace=False)
-        else:
-            delays = rng.integers(0, 3, size=3)
+        delays = rng.integers(0, 3, size=3)
         taps = rng.integers(-3, 4, size=3)
-        if kwargs.get("fractional", True):
-            fracs = rng.random(3) - 0.5
-        else:
-            fracs = np.zeros(3)
+        fracs = rng.random(3) - 0.5
         re, im = rng.standard_normal(3), rng.standard_normal(3)
         expected = dict(delay_taps=delays, doppler=taps + fracs,
                         gains=np.sqrt(variances[p, q] / 2) * (re + 1j * im))
@@ -196,45 +196,38 @@ def test_sample_all_paths_replays_five_call_stream(kwargs):
 
 
 @settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), l_max=st.integers(0, 12),
-       data=st.data(), k_max=st.integers(0, 3), fractional=st.booleans())
-def test_distinct_delay_link_replays_choice(seed, l_max, data, k_max,
-                                            fractional):
-    # One distinct-delay link takes the stream of choice, the Doppler
-    # integers, random and the normals, and leaves the generator where
-    # those calls leave it.
-    n_paths = data.draw(st.integers(1, l_max + 1), label="n_paths")
+@given(seed=st.integers(0, 2**32 - 1),
+       l_max=st.integers(0, 12) | st.integers(10_000, 10_060),
+       data=st.data(), n_links=st.integers(1, 3), k_max=st.integers(0, 3),
+       fractional=st.booleans())
+def test_distinct_delay_links_sort_keys(seed, l_max, data, n_links, k_max,
+                                        fractional):
+    # Each distinct-delay link draws its Doppler taps with integers, then
+    # l_max + 1 sort keys and its fractions with one random call, then
+    # its normals; its delay taps are the first L entries of a stable
+    # argsort of the keys. The generator ends where those calls leave it.
+    n_paths = data.draw(st.integers(1, min(l_max + 1, 250)), label="n_paths")
     rng = np.random.default_rng(seed)
-    link = sample_all_paths(np.full(n_paths, 0.4), l_max, k_max,
-                            OtfsGrid(doppler_bins=8, delay_bins=13), rng,
-                            fractional=fractional, distinct_delays=True)
+    links = sample_all_paths(np.full((n_links, n_paths), 0.4), l_max, k_max,
+                             OtfsGrid(doppler_bins=8, delay_bins=10_061), rng,
+                             fractional=fractional, distinct_delays=True)
     ref = np.random.default_rng(seed)
-    delays = ref.choice(l_max + 1, n_paths, replace=False)
-    taps = ref.integers(-k_max, k_max + 1, n_paths)
-    fracs = ref.random(n_paths) - 0.5 if fractional else np.zeros(n_paths)
-    re, im = ref.standard_normal(n_paths), ref.standard_normal(n_paths)
-    np.testing.assert_array_equal(link.delay_taps, delays, strict=True)
-    np.testing.assert_array_equal(link.doppler, taps + fracs, strict=True)
-    np.testing.assert_array_equal(link.gains,
-                                  np.sqrt(0.4 / 2) * (re + 1j * im))
-    assert rng.random() == ref.random()
-
-
-def test_distinct_delays_beyond_floyd_branch_call_choice():
-    # With more than 10000 taps and L above a fiftieth of them numpy's
-    # choice shuffles a tail instead of running Floyd's algorithm; there
-    # the sampler calls choice itself, still one link after another.
-    grid = OtfsGrid(doppler_bins=8, delay_bins=10_050)
-    link = sample_all_paths(np.ones((2, 202)), 10_049, 2, grid,
-                            np.random.default_rng(3), fractional=False,
-                            distinct_delays=True)
-    ref = np.random.default_rng(3)
-    for row in range(2):
+    for row in range(n_links):
+        taps = ref.integers(-k_max, k_max + 1, n_paths)
+        uniforms = ref.random(l_max + 1 + n_paths * fractional)
+        keys, fracs = uniforms[:l_max + 1], uniforms[l_max + 1:] - 0.5
+        re, im = ref.standard_normal(n_paths), ref.standard_normal(n_paths)
+        delays = links.delay_taps[row]
+        assert len(set(delays)) == n_paths
+        assert 0 <= delays.min() and delays.max() <= l_max
         np.testing.assert_array_equal(
-            link.delay_taps[row], ref.choice(10_050, 202, replace=False))
-        np.testing.assert_array_equal(link.doppler[row],
-                                      ref.integers(-2, 3, 202))
-        ref.standard_normal(404)
+            delays, np.argsort(keys, kind="stable")[:n_paths], strict=True)
+        np.testing.assert_array_equal(
+            links.doppler[row], taps + (fracs if fractional else 0.0),
+            strict=True)
+        np.testing.assert_array_equal(links.gains[row],
+                                      np.sqrt(0.4 / 2) * (re + 1j * im))
+    assert rng.random() == ref.random()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -26,6 +26,15 @@ def test_noise_rejects_non_finite_values(capsys, flags, message):
     assert len(captured.err.splitlines()) == 1
 
 
+def test_noise_rejects_doppler_bins(capsys):
+    # The noise power reads only M x delta_f; a Doppler bin count there
+    # would change nothing.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["noise", "--doppler-bins", "20"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --doppler-bins" in capsys.readouterr().err
+
+
 def test_check_identities_passes(capsys):
     assert cli.main(["check-identities", "--paths", "20", "--seed", "3"]) == 0
     out = capsys.readouterr().out

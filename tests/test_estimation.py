@@ -113,6 +113,12 @@ class TestMmseCoeff:
                 mmse_coeff(1.0, 1.0, -1.0, xi)
         assert mmse_coeff(1.0, 1.0, 1.0, 0.0) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_beta_named(self, bad):
+        with pytest.raises(ValueError, match=f"beta must be positive and "
+                                             f"finite, got {bad}"):
+            mmse_coeff(np.array([1.0, bad]), 1.0, 1.0, 0.1)
+
     def test_against_lmmse_oracle_sweep(self):
         rng = np.random.default_rng(1)
         for _ in range(1000):
@@ -249,3 +255,12 @@ class TestComputeLinkStats:
         small = OtfsGrid(doppler_bins=17, delay_bins=30)
         with pytest.raises(GuardWidthError):
             compute_link_stats(beta, 3, 1, 1.0, 1.0, small)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["rho_p", "rho_u"])
+    def test_non_finite_power_named(self, name, bad):
+        powers = {"rho_p": 1.0, "rho_u": 1.0, name: bad}
+        with pytest.raises(ValueError, match=f"{name} must be .* finite, "
+                                             f"got {bad}"):
+            compute_link_stats(np.ones((2, 2, 3)), 0, 0, grid=OtfsGrid(4, 8),
+                               **powers)

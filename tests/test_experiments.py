@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cfotfs import experiments
-from cfotfs.channel import OtfsGrid
+from cfotfs.channel import OtfsGrid, PathSet
 from cfotfs.experiments import ChannelParams
 from cfotfs.geometry import NetworkConfig, apply_shadowing, place_network
 from cfotfs.rng import substream
@@ -294,6 +294,25 @@ class TestRealizeLinks:
         with pytest.raises(ValueError, match="need at least one path"):
             ChannelParams(n_paths=n_paths)
 
+    @pytest.mark.parametrize("name", ["rho_d", "rho_u", "rho_p"])
+    def test_nan_power_named(self, name):
+        config = experiments.desk_preset()
+        powers = {"rho_d": 1.0, "rho_u": 1.0, "rho_p": 1.0, name: np.nan}
+        with pytest.raises(ValueError, match=f"{name} must be .* finite, "
+                                             "got nan"):
+            experiments.realize_links(config.network, config.grid,
+                                      config.channel,
+                                      rng=np.random.default_rng(0), **powers)
+
+    def test_nan_load_fails_the_power_check(self, monkeypatch):
+        config = experiments.desk_preset()
+        monkeypatch.setattr(experiments, "power_constraint_load",
+                            lambda stats, pc: np.full(stats.n_aps, np.nan))
+        with pytest.raises(RuntimeError, match="max deviation nan"):
+            experiments.realize_links(config.network, config.grid,
+                                      config.channel, 1.0, 1.0, 1.0,
+                                      np.random.default_rng(0))
+
 
 def test_distinct_delay_rates_pinned():
     # Per-user rates of three realizations of one distinct-delay network
@@ -308,3 +327,39 @@ def test_distinct_delay_rates_pinned():
         rates, _ = experiments.realize_user_rates(config, 50, 40, "corr", rng)
         digest.update(rates.tobytes())
     assert digest.hexdigest() == "deedfcdf04e5d1f20bfdc8f734db07a0112398c7"
+
+
+@pytest.mark.parametrize("change", ["permute", "redraw"])
+def test_distinct_delay_rates_read_no_sampled_path(monkeypatch, change):
+    # With distinct delays every (chi, kappa) table is a constant, so no
+    # rate reads a tap, a Doppler or a gain: permuting each link's paths,
+    # or drawing them afresh from another generator, moves no rate byte.
+    config = experiments.paper_preset(
+        channel=ChannelParams(n_paths=3, distinct_delays=True))
+    keys = [(config.seed, experiments._MODE_IDS["corr"], 12, 6, index)
+            for index in range(3)]
+
+    def rates():
+        return [experiments.realize_user_rates(config, 12, 6, "corr",
+                                               substream(*key))[0].tobytes()
+                for key in keys]
+
+    expected = rates()
+    sample = experiments.sample_all_paths
+    other = np.random.default_rng(5)
+    moved = []
+
+    def altered(variances, l_max, k_max, grid, rng, **kwargs):
+        paths = sample(variances, l_max, k_max, grid, rng, **kwargs)
+        if change == "redraw":
+            new = sample(variances, l_max, k_max, grid, other, **kwargs)
+        else:
+            order = np.argsort(other.random(variances.shape), axis=-1)
+            new = PathSet(*(np.take_along_axis(a, order, axis=-1) for a in
+                            (paths.delay_taps, paths.doppler, paths.gains)))
+        moved.append(np.any(new.delay_taps != paths.delay_taps))
+        return new
+
+    monkeypatch.setattr(experiments, "sample_all_paths", altered)
+    assert rates() == expected
+    assert all(moved)

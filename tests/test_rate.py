@@ -2,12 +2,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dense_reference import per_bin_sinr
 
 from cfotfs import experiments, montecarlo, operators, rate
 from cfotfs.channel import OtfsGrid, PathSet
-from cfotfs.estimation import LinkStats
+from cfotfs.estimation import LinkStats, compute_link_stats
 from cfotfs.exceptions import DistinctDelayError, PowerControlError
 from cfotfs.rate import (PowerControl, Realization, achievable_rate,
                          closed_form_terms, equal_power_control,
@@ -328,3 +329,99 @@ def test_rate_decreases_with_more_users():
                 for q in range(n_users))
         means.append(np.mean(rates))
     assert means[1] < means[0]
+
+
+# Reordered float64 sums of a few dozen terms agree to about 1e-15
+# relative; the invariances below must hold to this bound.
+INVARIANCE_RTOL = 1e-12
+
+
+@st.composite
+def small_networks(draw):
+    """(grid, per-path variances, paths, rng) of a small network whose
+    links may repeat delay taps, so that chi and kappa are not constant."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = OtfsGrid(doppler_bins=draw(st.integers(2, 6)),
+                    delay_bins=draw(st.integers(1, 6)))
+    shape = tuple(draw(st.integers(1, 3)) for _ in range(3))
+    n_taps = draw(st.integers(1, grid.delay_bins))
+    paths = PathSet(delay_taps=rng.integers(0, n_taps, shape),
+                    doppler=rng.integers(-1, 2, shape)
+                    + rng.uniform(-0.5, 0.5, shape),
+                    gains=np.ones(shape))
+    return grid, 10.0 ** rng.uniform(-2, 0, shape), paths, rng
+
+
+def network_sinrs(grid, beta_paths, paths, rho_d=50.0, rho_u=10.0,
+                  rho_p=20.0):
+    """Every user's closed-form SINR, through the pipeline's statistics
+    and power control (no Doppler guard)."""
+    stats = compute_link_stats(beta_paths, 0, 0, rho_p, rho_u, grid)
+    realization = Realization(grid, paths, stats, equal_power_control(stats),
+                              rho_d)
+    return np.array([achievable_rate(q, realization).sinr
+                     for q in range(stats.n_users)])
+
+
+def map_paths(paths, fn):
+    return PathSet(*(fn(a) for a in (paths.delay_taps, paths.doppler,
+                                     paths.gains)))
+
+
+class TestInvariances:
+    @settings(max_examples=60, deadline=None)
+    @given(net=small_networks())
+    def test_permuting_paths_within_links(self, net):
+        grid, beta, paths, rng = net
+        order = np.argsort(rng.random(beta.shape), axis=-1)
+
+        def take(a):
+            return np.take_along_axis(a, order, axis=-1)
+
+        np.testing.assert_allclose(
+            network_sinrs(grid, take(beta), map_paths(paths, take)),
+            network_sinrs(grid, beta, paths), rtol=INVARIANCE_RTOL)
+
+    @settings(max_examples=60, deadline=None)
+    @given(net=small_networks())
+    def test_permuting_aps(self, net):
+        grid, beta, paths, rng = net
+        order = rng.permutation(beta.shape[0])
+        np.testing.assert_allclose(
+            network_sinrs(grid, beta[order],
+                          map_paths(paths, lambda a: a[order])),
+            network_sinrs(grid, beta, paths), rtol=INVARIANCE_RTOL)
+
+    @settings(max_examples=60, deadline=None)
+    @given(net=small_networks())
+    def test_permuting_users_permutes_sinrs(self, net):
+        grid, beta, paths, rng = net
+        order = rng.permutation(beta.shape[1])
+        np.testing.assert_allclose(
+            network_sinrs(grid, beta[:, order],
+                          map_paths(paths, lambda a: a[:, order])),
+            network_sinrs(grid, beta, paths)[order], rtol=INVARIANCE_RTOL)
+
+    @settings(max_examples=60, deadline=None)
+    @given(net=small_networks(), s=st.floats(1e-3, 1e3))
+    def test_power_scaling(self, net, s):
+        # gamma scales by s and eta by 1/s, so rho_d ds^2 and every
+        # rho_d-weighted interference power stay the same.
+        grid, beta, paths, _ = net
+        np.testing.assert_allclose(
+            network_sinrs(grid, beta * s, paths, 50.0 / s, 10.0 / s,
+                          20.0 / s),
+            network_sinrs(grid, beta, paths), rtol=INVARIANCE_RTOL)
+
+    @settings(max_examples=60, deadline=None)
+    @given(net=small_networks())
+    def test_doppler_shift_by_n(self, net):
+        # A Doppler shift of N multiplies each delay column of the path's
+        # operator by a unit phase.
+        grid, beta, paths, rng = net
+        doppler = paths.doppler.copy()
+        doppler[tuple(rng.integers(0, doppler.shape))] += grid.doppler_bins
+        shifted = PathSet(paths.delay_taps, doppler, paths.gains)
+        np.testing.assert_allclose(
+            network_sinrs(grid, beta, shifted),
+            network_sinrs(grid, beta, paths), rtol=INVARIANCE_RTOL)
