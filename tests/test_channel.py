@@ -170,26 +170,60 @@ def test_sample_all_paths_draws_links_in_row_major_order():
                                               getattr(link, name))
 
 
-# test_distinct_delay_links_sort_keys pins the distinct-delay stream.
-@pytest.mark.parametrize("kwargs", [{}])
+def distinct_link_reference(ref, l_max, k_max, n_paths, variance,
+                            fractional):
+    """One distinct-delay link drawn from ref by written-out calls: the
+    Doppler taps with integers, l_max + 1 sort keys then the fractions
+    with one random call, then the normals. The delay taps are the first
+    n_paths entries of a stable argsort of the keys."""
+    taps = ref.integers(-k_max, k_max + 1, n_paths)
+    uniforms = ref.random(l_max + 1 + n_paths * fractional)
+    keys, fracs = uniforms[:l_max + 1], uniforms[l_max + 1:] - 0.5
+    re, im = ref.standard_normal(n_paths), ref.standard_normal(n_paths)
+    return dict(delay_taps=np.argsort(keys, kind="stable")[:n_paths],
+                doppler=taps + (fracs if fractional else 0.0),
+                gains=np.sqrt(variance / 2) * (re + 1j * im))
+
+
+def assert_distinct_links_match(links, ref, l_max, k_max, n_paths, variance,
+                                fractional):
+    for row in range(links.delay_taps.shape[0]):
+        delays = links.delay_taps[row]
+        assert len(set(delays)) == n_paths
+        assert 0 <= delays.min() and delays.max() <= l_max
+        expected = distinct_link_reference(ref, l_max, k_max, n_paths,
+                                           variance, fractional)
+        for name in FIELDS:
+            np.testing.assert_array_equal(getattr(links, name)[row],
+                                          expected[name], strict=True)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {}, {"distinct_delays": True, "fractional": False}])
 def test_sample_all_paths_replays_five_call_stream(kwargs):
     # Reference: the sampler's earlier loop, five generator calls per link
     # (delays, Doppler taps, fractions, real parts, imaginary parts),
     # written out. Three paths with k_max > 0 is an odd number of 32-bit
     # bounded draws per tap row, so PCG64's buffered half-word carries
     # from one link into the next. A path's Doppler is its tap plus its
-    # fraction, bit for bit.
+    # fraction, bit for bit. A distinct-delay link draws its Doppler taps,
+    # then its l_max + 1 = 3 sort keys, then its normals.
     variances = equal_split([[0.5, 1.0, 1.5], [2.0, 2.5, 3.0]], 3)
     batch = sample_all_paths(variances, 2, 3, PAPER_GRID,
                              np.random.default_rng(11), **kwargs)
     rng = np.random.default_rng(11)
     for p, q in np.ndindex(2, 3):
-        delays = rng.integers(0, 3, size=3)
-        taps = rng.integers(-3, 4, size=3)
-        fracs = rng.random(3) - 0.5
-        re, im = rng.standard_normal(3), rng.standard_normal(3)
-        expected = dict(delay_taps=delays, doppler=taps + fracs,
-                        gains=np.sqrt(variances[p, q] / 2) * (re + 1j * im))
+        if kwargs.get("distinct_delays"):
+            expected = distinct_link_reference(rng, 2, 3, 3, variances[p, q],
+                                               fractional=False)
+        else:
+            delays = rng.integers(0, 3, size=3)
+            taps = rng.integers(-3, 4, size=3)
+            fracs = rng.random(3) - 0.5
+            re, im = rng.standard_normal(3), rng.standard_normal(3)
+            expected = dict(delay_taps=delays, doppler=taps + fracs,
+                            gains=np.sqrt(variances[p, q] / 2)
+                            * (re + 1j * im))
         for name in FIELDS:
             np.testing.assert_array_equal(getattr(batch, name)[p, q],
                                           expected[name], strict=True)
@@ -200,34 +234,34 @@ def test_sample_all_paths_replays_five_call_stream(kwargs):
        l_max=st.integers(0, 12) | st.integers(10_000, 10_060),
        data=st.data(), n_links=st.integers(1, 3), k_max=st.integers(0, 3),
        fractional=st.booleans())
-def test_distinct_delay_links_sort_keys(seed, l_max, data, n_links, k_max,
-                                        fractional):
-    # Each distinct-delay link draws its Doppler taps with integers, then
-    # l_max + 1 sort keys and its fractions with one random call, then
-    # its normals; its delay taps are the first L entries of a stable
-    # argsort of the keys. The generator ends where those calls leave it.
+def test_distinct_delay_link_replays_choice(seed, l_max, data, n_links, k_max,
+                                            fractional):
+    # Named for the Generator.choice replay it once pinned; distinct delay
+    # taps now come from sort keys, which it pins link by link. Taps are
+    # distinct and inside [0, l_max], and the generator ends where the
+    # written-out calls leave it.
     n_paths = data.draw(st.integers(1, min(l_max + 1, 250)), label="n_paths")
     rng = np.random.default_rng(seed)
     links = sample_all_paths(np.full((n_links, n_paths), 0.4), l_max, k_max,
                              OtfsGrid(doppler_bins=8, delay_bins=10_061), rng,
                              fractional=fractional, distinct_delays=True)
     ref = np.random.default_rng(seed)
-    for row in range(n_links):
-        taps = ref.integers(-k_max, k_max + 1, n_paths)
-        uniforms = ref.random(l_max + 1 + n_paths * fractional)
-        keys, fracs = uniforms[:l_max + 1], uniforms[l_max + 1:] - 0.5
-        re, im = ref.standard_normal(n_paths), ref.standard_normal(n_paths)
-        delays = links.delay_taps[row]
-        assert len(set(delays)) == n_paths
-        assert 0 <= delays.min() and delays.max() <= l_max
-        np.testing.assert_array_equal(
-            delays, np.argsort(keys, kind="stable")[:n_paths], strict=True)
-        np.testing.assert_array_equal(
-            links.doppler[row], taps + (fracs if fractional else 0.0),
-            strict=True)
-        np.testing.assert_array_equal(links.gains[row],
-                                      np.sqrt(0.4 / 2) * (re + 1j * im))
+    assert_distinct_links_match(links, ref, l_max, k_max, n_paths, 0.4,
+                                fractional)
     assert rng.random() == ref.random()
+
+
+def test_distinct_delays_beyond_floyd_branch_call_choice():
+    # With more than 10000 taps and L above a fiftieth of them numpy's
+    # choice took another branch, which the sampler once called. The sort
+    # keys have no such branch: one link after another, each draws
+    # l_max + 1 keys, on every run rather than when hypothesis picks it.
+    grid = OtfsGrid(doppler_bins=8, delay_bins=10_050)
+    links = sample_all_paths(np.ones((2, 202)), 10_049, 2, grid,
+                             np.random.default_rng(3), fractional=False,
+                             distinct_delays=True)
+    assert_distinct_links_match(links, np.random.default_rng(3), 10_049, 2,
+                                202, 1.0, fractional=False)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
