@@ -104,8 +104,11 @@ def max_doppler_index(speed_kmh: float, grid: OtfsGrid) -> int:
 
 
 def check_tap_ranges(l_max: int, k_max: int, grid: OtfsGrid) -> None:
-    """Raise ValueError unless the grid holds the tap ranges: l_max in
-    [0, M - 1] and k_max in [0, max(N // 2 - 1, 0)]."""
+    """Raise ValueError unless the grid holds the tap ranges: integers
+    l_max in [0, M - 1] and k_max in [0, max(N // 2 - 1, 0)]."""
+    for name, value in (("l_max", l_max), ("k_max", k_max)):
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if not 0 <= l_max <= grid.delay_bins - 1:
         raise ValueError("l_max must lie in [0, delay_bins - 1]")
     k_bound = max(grid.doppler_bins // 2 - 1, 0)

@@ -62,8 +62,10 @@ def mmse_coeff(beta, rho_p: float, rho_u: float, xi):
         raise ValueError("uplink power rho_u must be non-negative and "
                          f"finite, got {rho_u}")
     xi = np.asarray(xi, dtype=float)
-    if np.any(xi < 0):
-        raise ValueError("interference constant xi must be non-negative")
+    bad = xi[~(xi >= 0)]  # NaN fails too
+    if bad.size:
+        raise ValueError("interference constant xi must be non-negative, "
+                         f"got {bad[0]}")
     return np.sqrt(rho_p) * beta / (rho_p * beta + rho_u * xi + 1.0)
 
 

@@ -14,9 +14,9 @@ pair (chi, kappa) that weights beamforming uncertainty and inter-symbol
 interference in the closed-form SINR, and numerical checks of the three
 operator identities the rate analysis relies on. The pair does not
 depend on the bin at all: chi_kappa_tables evaluates it once per path
-pair in closed form over (..., L) PathSet arrays (every AP of a user at
-once). A path enters the dense constructors as two numbers: its integer
-delay tap and its Doppler k+kappa, or as arrays of them.
+pair in closed form over (..., L) PathSet arrays (every link of a
+network at once). A path enters the dense constructors as two numbers:
+its integer delay tap and its Doppler k+kappa, or as arrays of them.
 
 An integer delay tap is an exact shift of the delay coordinate, and the
 Doppler spreads only along the Doppler axis, so each delay column of T
@@ -106,7 +106,7 @@ def chi_kappa_tables(delay_taps, doppler, doppler_bins: int):
     """(chi, kappa) of every path pair, the same at every bin.
 
     delay_taps and doppler (integer tap plus fractional part) are arrays
-    shaped (..., L), for instance one row per AP of a user; both returned
+    shaped (..., L), for instance (AP, user, path) of a network; both returned
     arrays are shaped (..., L, L). A pair with distinct delay taps gives
     (0, 1): the diagonal entry of T_i T_j^H vanishes and its row sum is a
     single unit phase. A pair sharing a delay tap gives (|D|^2, |1 - D|^2)
@@ -115,12 +115,19 @@ def chi_kappa_tables(delay_taps, doppler, doppler_bins: int):
         D = (1/N) sum_n exp(j2pi d n/N)
           = exp(j pi d (N-1)/N) sin(pi d) / (N sin(pi d/N)),
 
-    which is 1 when d is a multiple of N (the diagonal among them).
+    which is 1 when d is a multiple of N. Only the same-delay pairs above
+    the diagonal are evaluated and then mirrored (d_ji = -d_ij exactly, so
+    both tables are symmetric); the diagonal is (1, 0) unevaluated.
     """
-    delay_taps = np.asarray(delay_taps)
     doppler = np.asarray(doppler, dtype=float)
+    shape, n_paths = doppler.shape, doppler.shape[-1]
+    doppler = doppler.reshape(-1, n_paths)
+    taps = np.asarray(delay_taps).reshape(-1, n_paths)
+    upper = np.triu_indices(n_paths, 1)
+    link, pair = np.nonzero(taps[:, upper[0]] == taps[:, upper[1]])
+    i, j = upper[0][pair], upper[1][pair]
     n = doppler_bins
-    d = doppler[..., :, None] - doppler[..., None, :]
+    d = doppler[link, i] - doppler[link, j]
     # D has period N in d; folding d into [-N/2, N/2] keeps sin(pi d/N)
     # away from the cancellation at nonzero multiples of N.
     d = d - n * np.round(d / n)
@@ -129,10 +136,11 @@ def chi_kappa_tables(delay_taps, doppler, doppler_bins: int):
     ratio = np.divide(np.sin(np.pi * d), den, out=np.ones_like(d),
                       where=den != 0.0)
     dirichlet = np.exp(1j * np.pi * d * (n - 1) / n) * ratio
-    same = delay_taps[..., :, None] == delay_taps[..., None, :]
-    chi = np.where(same, np.abs(dirichlet) ** 2, 0.0)
-    kappa = np.where(same, np.abs(1.0 - dirichlet) ** 2, 1.0)
-    return chi, kappa
+    chi = np.broadcast_to(np.eye(n_paths), doppler.shape + (n_paths,)).copy()
+    kappa = 1.0 - chi
+    chi[link, i, j] = chi[link, j, i] = np.abs(dirichlet) ** 2
+    kappa[link, i, j] = kappa[link, j, i] = np.abs(1 - dirichlet) ** 2
+    return chi.reshape(shape + (n_paths,)), kappa.reshape(shape + (n_paths,))
 
 
 @dataclass

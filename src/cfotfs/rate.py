@@ -4,6 +4,7 @@ downlink SINR and achievable rate."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,15 +44,25 @@ def power_constraint_load(stats: LinkStats, pc: PowerControl) -> np.ndarray:
     return np.einsum("pq,pqi->p", pc.eta, stats.gamma)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Realization:
-    """One network realization: what the rate functions and oracle read."""
+    """One network realization: what the rate functions and oracle read.
+    Frozen, since terms caches every user's SINR terms on first use."""
 
     grid: OtfsGrid
     pathsets: PathSet
     stats: LinkStats
     pc: PowerControl
     rho_d: float
+
+    @cached_property
+    def terms(self):
+        """(ds, bu, isi, iui) of every user as (Q,) arrays, formed on first
+        use from one chi_kappa_tables call over every link."""
+        chi, kappa = chi_kappa_tables(self.pathsets.delay_taps,
+                                      self.pathsets.doppler,
+                                      self.grid.doppler_bins)
+        return _user_terms(self.stats, self.pc, chi, kappa)
 
 
 @dataclass
@@ -71,25 +82,24 @@ def check_index(kind: str, index: int, size: int) -> None:
         raise ValueError(f"{kind} index {index} outside 0..{size - 1}")
 
 
-def _user_terms(q: int, stats: LinkStats, pc: PowerControl, chi, kappa):
-    """SINR building blocks of user q, given the (P, L, L) coefficient
-    tables chi and kappa of its links; the only code that forms them.
+def _user_terms(stats: LinkStats, pc: PowerControl, chi, kappa):
+    """SINR building blocks of every user, given the (P, Q, L, L)
+    coefficient tables chi and kappa; the only code that forms them.
 
-    Returns (ds, bu, isi, iui): the desired-signal mean, the
-    beamforming-uncertainty and inter-symbol interference powers, and the
-    inter-user power, all normalized by the downlink SNR. None depends on
-    the DD bin.
+    Returns (ds, bu, isi, iui) as (Q,) arrays: the desired-signal mean,
+    the beamforming-uncertainty and inter-symbol interference powers, and
+    the inter-user power, all normalized by the downlink SNR. None depends
+    on the DD bin.
     """
-    eta_q = pc.eta[:, q]
-    gamma_q = stats.gamma[:, q, :]
-    beta_q = stats.beta[:, q, :]
-    bu = float(np.einsum("p,pi,pij,pj->", eta_q, beta_q, chi, gamma_q))
-    isi = float(np.einsum("p,pi,pij,pj->", eta_q, beta_q, kappa, gamma_q))
-    ds = float(np.sum(np.sqrt(eta_q)[:, None] * gamma_q))
+    eta, beta, gamma = pc.eta, stats.beta, stats.gamma
+    weights = eta[..., None] * beta  # eta_pq beta_pq,i
+    bu = np.einsum("pqi,pqij,pqj->q", weights, chi, gamma)
+    isi = np.einsum("pqi,pqij,pqj->q", weights, kappa, gamma)
+    ds = np.einsum("pq,pqi->q", np.sqrt(eta), gamma)
     # Other users' precoders: eta' * (sum_i beta_pq,i) * (sum_j gamma_pq',j).
-    gamma_sums = stats.gamma.sum(axis=2)  # (P, Q)
-    others = np.einsum("pq,pq->p", pc.eta, gamma_sums) - eta_q * gamma_sums[:, q]
-    iui = float(np.sum(beta_q.sum(axis=1) * others))
+    loads = eta * gamma.sum(axis=2)  # (P, Q)
+    others = loads.sum(axis=1, keepdims=True) - loads
+    iui = np.sum(beta.sum(axis=2) * others, axis=0)
     return ds, bu, isi, iui
 
 
@@ -103,40 +113,32 @@ def closed_form_terms(q: int, r: int, stats: LinkStats, pc: PowerControl,
                       pathsets: PathSet, grid: OtfsGrid):
     """The four SINR terms of user q at bin r (desired-signal mean,
     beamforming-uncertainty variance, inter-symbol and inter-user
-    interference powers), normalized by the downlink SNR. One coefficient
-    call covers every AP of the user. Used by the Monte Carlo validator;
-    the benchmark passes these six arguments positionally, the unused r
-    too, so they stay until its revision (ROADMAP item 5)."""
+    interference powers), normalized by the downlink SNR: user q's entries
+    of Realization.terms, which no rho_d enters. Used by the Monte Carlo
+    validator; the benchmark passes these six arguments positionally, the
+    unused r too, so they stay until its revision (ROADMAP item 5)."""
     check_index("bin", r, grid.size)
     check_index("user", q, stats.n_users)
-    links = np.s_[:, q]
-    chi, kappa = chi_kappa_tables(pathsets.delay_taps[links],
-                                  pathsets.doppler[links], grid.doppler_bins)
-    return _user_terms(q, stats, pc, chi, kappa)
-
-
-def _report(terms, realization: Realization) -> RateReport:
-    ds, bu, isi, iui = terms
-    sinr = assemble_sinr(ds, bu + isi + iui, realization.rho_d)
-    rate = float(np.log2(1.0 + sinr))
-    return RateReport(sinr=float(sinr), rate_bps_hz=rate,
-                      throughput_bps=rate * realization.grid.bandwidth_hz)
+    terms = Realization(grid, pathsets, stats, pc, rho_d=np.nan).terms
+    return tuple(float(t[q]) for t in terms)
 
 
 def achievable_rate(q: int, realization: Realization) -> RateReport:
     """Per-user achievable rate log2(1 + SINR); the SINR is the same at
-    every DD bin, so this is also the mean over all MN bins."""
-    terms = closed_form_terms(q, 0, realization.stats, realization.pc,
-                              realization.pathsets, realization.grid)
-    return _report(terms, realization)
+    every DD bin, so this is also the mean over all MN bins. Reads user
+    q's entries of realization.terms."""
+    check_index("user", q, realization.stats.n_users)
+    ds, bu, isi, iui = (t[q] for t in realization.terms)
+    sinr = float(assemble_sinr(ds, bu + isi + iui, realization.rho_d))
+    rate = float(np.log2(1.0 + sinr))
+    return RateReport(sinr=sinr, rate_bps_hz=rate,
+                      throughput_bps=rate * realization.grid.bandwidth_hz)
 
 
 def rate_distinct_delays(q: int, realization: Realization) -> RateReport:
-    """Fast path for links whose delay taps are pairwise distinct.
-
-    Every cross-path pair then has (chi, kappa) = (0, 1) and every path
-    paired with itself (1, 0): user q's tables are the constants (I, 1 - I)
-    at every AP, with no coefficient computation. Raises DistinctDelayError
+    """achievable_rate after checking that user q's links have pairwise
+    distinct delay taps; chi_kappa_tables returns exactly (I, 1 - I) on
+    them and evaluates no Dirichlet kernel. Raises DistinctDelayError
     naming the first link of user q that repeats a delay tap.
     """
     check_index("user", q, realization.stats.n_users)
@@ -145,7 +147,4 @@ def rate_distinct_delays(q: int, realization: Realization) -> RateReport:
     if repeats.any():
         raise DistinctDelayError(
             f"link (ap={np.argmax(repeats)}, user={q}) repeats a delay tap")
-    n_aps, n_paths = taps.shape
-    eye = np.broadcast_to(np.eye(n_paths), (n_aps, n_paths, n_paths))
-    terms = _user_terms(q, realization.stats, realization.pc, eye, 1.0 - eye)
-    return _report(terms, realization)
+    return achievable_rate(q, realization)

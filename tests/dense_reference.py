@@ -58,6 +58,27 @@ def chi_kappa(path_i: tuple, path_j: tuple, r: int, grid):
     return float(abs(diag) ** 2), float(abs(off) ** 2)
 
 
+def all_pairs_chi_kappa_tables(delay_taps, doppler, doppler_bins):
+    """operators.chi_kappa_tables as it was first written: the Dirichlet
+    kernel D of every ordered path pair's Doppler difference, masked by
+    delay equality to (|D|^2, |1 - D|^2) or (0, 1). The library evaluates
+    only the same-delay pairs above the diagonal and must match this bit
+    for bit."""
+    delay_taps = np.asarray(delay_taps)
+    doppler = np.asarray(doppler, dtype=float)
+    n = doppler_bins
+    d = doppler[..., :, None] - doppler[..., None, :]
+    d = d - n * np.round(d / n)
+    den = n * np.sin(np.pi * d / n)
+    ratio = np.divide(np.sin(np.pi * d), den, out=np.ones_like(d),
+                      where=den != 0.0)
+    dirichlet = np.exp(1j * np.pi * d * (n - 1) / n) * ratio
+    same = delay_taps[..., :, None] == delay_taps[..., None, :]
+    chi = np.where(same, np.abs(dirichlet) ** 2, 0.0)
+    kappa = np.where(same, np.abs(1.0 - dirichlet) ** 2, 1.0)
+    return chi, kappa
+
+
 def per_bin_sinr(q, stats, pc, pathsets, rho_d, grid):
     """SINR of user q at every DD bin (length MN), each bin's
     beamforming-uncertainty and inter-symbol powers weighted by that

@@ -17,7 +17,13 @@ relies on exactly these:
 - sample_all_paths and rate_distinct_delays looked up as attributes of
   the experiments module: the tracer wraps the first, and final_checks
   swaps the second for a wrapper that also calls rate.achievable_rate
-  with the same arguments;
+  with the same arguments and reports a problem unless it ran once per
+  user. So realize_user_rates keeps its per-user loop of rate calls, and
+  the SINR work stays inside them: the first call of a realization
+  forms every user's terms (Realization.terms, one
+  rate.chi_kappa_tables call) and the rest index them, which keeps that
+  work inside the traced rate spans that bench/smoke.py's 0.9 coverage
+  floor counts;
 - the other traced stages under the names their callers look them up
   by: experiments.place_network, apply_shadowing, compute_link_stats,
   equal_power_control, power_constraint_load (also replaced to record

@@ -99,6 +99,26 @@ class TestSamplePaths:
         with pytest.raises(ValueError):
             sample_all_paths(np.ones(2), 2, 2, grid, seed=0)
 
+    @pytest.mark.parametrize("distinct_delays", [False, True])
+    @pytest.mark.parametrize("l_max, k_max, name", [
+        (2.5, 1, "l_max"), (2, 1.0, "k_max"), (2.0, 1, "l_max")])
+    def test_non_integer_tap_bounds_named(self, l_max, k_max, name,
+                                          distinct_delays):
+        # Float bounds would draw from float ranges, or with distinct
+        # delays fail inside numpy; both raise the same named error.
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            sample_all_paths(np.ones(3), l_max, k_max, OtfsGrid(4, 8),
+                             seed=0, distinct_delays=distinct_delays)
+
+    @pytest.mark.parametrize("as_int", [int, np.int64, np.int32])
+    def test_numpy_integer_tap_bounds_accepted(self, as_int):
+        expected = sample_all_paths(np.ones(3), 2, 1, OtfsGrid(4, 8), seed=0)
+        got = sample_all_paths(np.ones(3), as_int(2), as_int(1),
+                               OtfsGrid(4, 8), seed=0)
+        for name in FIELDS:
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(expected, name))
+
     def test_zero_variance_rejected(self):
         with pytest.raises(ValueError, match="variances"):
             sample_all_paths(np.zeros(2), 2, 1, PAPER_GRID, seed=0)

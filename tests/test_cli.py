@@ -351,14 +351,14 @@ def test_validate_report_bytes(tmp_path):
     assert cli.main(["validate", "--trials", "3000", "--instances", "1",
                      "--seed", "2", "--out", str(out)]) == 0
     assert hashlib.sha1(out.read_bytes()).hexdigest() == \
-        "585e0e37a6056691e5503232e7a51530b7d7bd4c"
+        "934ef3927925ddd3117409a0561114df8eab3584"
 
 
 @pytest.mark.parametrize("argv, sha1", [
     (["--preset", "desk", "--shadowing", "both"],
-     "a08df54cf633e497352dd9c88fc4201ab31eaa93"),
+     "eda6f798c4193e55551ae0ebb16d52a7dbaff31e"),
     (["--preset", "paper", "--realizations", "5"],
-     "723a96d7b94ece8a29cb702ce944adc5ac574070"),
+     "888cfb7636c97fee00db9b8de4f1ed4ecc6f2d61"),
 ])
 def test_run_cdf_csv_bytes(tmp_path, argv, sha1):
     # The seeded CSVs of run-cdf at seed 1, as git hashes the blob.

@@ -113,6 +113,14 @@ class TestMmseCoeff:
                 mmse_coeff(1.0, 1.0, -1.0, xi)
         assert mmse_coeff(1.0, 1.0, 1.0, 0.0) == pytest.approx(0.5)
 
+    def test_nan_interference_constant_named(self):
+        # NaN fails xi < 0 too, so it needs a check of its own.
+        with pytest.raises(ValueError, match="xi must be non-negative, "
+                                             "got nan"):
+            mmse_coeff(1.0, 1.0, 1.0, float("nan"))
+        with pytest.raises(ValueError, match="got nan"):
+            mmse_coeff(np.ones(3), 1.0, 1.0, np.array([0.1, np.nan, 0.3]))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_beta_named(self, bad):
         with pytest.raises(ValueError, match=f"beta must be positive and "

@@ -249,8 +249,8 @@ class TestOutputs:
         cdf = experiments.cdf_csv_bytes(experiments.run_cdf(cfg))
         sweep = experiments.sweep_csv_bytes(experiments.run_vs_aps(cfg))
         for name, data, sha1, realizations in (
-                ("cdf.csv", cdf, "c2e3a9acec4deecc869156e65099f6a91f14fb6b", 4),
-                ("sweep.csv", sweep, "0ec030ab309a006d203bf3de7b57112e46ed90c1", 8)):
+                ("cdf.csv", cdf, "37f966113c9fb8f8080f2d6eaea15e5b00e2e730", 4),
+                ("sweep.csv", sweep, "ff37b8f037afd819d6f9a92b2f74bb10e9017482", 8)):
             out = tmp_path / name
             manifest_path = experiments.write_run(out, data, "run", cfg,
                                                   time.time(), realizations)
@@ -326,7 +326,7 @@ def test_distinct_delay_rates_pinned():
                         index)
         rates, _ = experiments.realize_user_rates(config, 50, 40, "corr", rng)
         digest.update(rates.tobytes())
-    assert digest.hexdigest() == "deedfcdf04e5d1f20bfdc8f734db07a0112398c7"
+    assert digest.hexdigest() == "e93bd8bc0de9728b970356faa180ed8d21291ded"
 
 
 @pytest.mark.parametrize("change", ["permute", "redraw"])

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from dense_reference import brute_force_operator, chi_kappa
+from dense_reference import (all_pairs_chi_kappa_tables,
+                             brute_force_operator, chi_kappa)
 
 from cfotfs.channel import OtfsGrid, PathSet, sample_all_paths
 from cfotfs.exceptions import IdentityCheckError
@@ -158,6 +159,23 @@ class TestEffectiveChannel:
         np.testing.assert_allclose(y_matrix, y_scalar, atol=1e-10)
 
 
+@st.composite
+def path_batches(draw):
+    """(delay taps, Dopplers, N) of a batch of links shaped (..., L): up
+    to two leading axes, L = 1..6, taps from {0, 1, 2} so that links
+    repeat them, and Dopplers up to +-6N, exact integers among them."""
+    n = draw(st.integers(1, 12))
+    shape = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    shape += (draw(st.integers(1, 6)),)
+    size = int(np.prod(shape))
+    taps = draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
+    doppler = draw(st.lists(
+        st.integers(-6 * n, 6 * n).map(float)
+        | st.floats(-6.0 * n, 6.0 * n, allow_nan=False),
+        min_size=size, max_size=size))
+    return np.reshape(taps, shape), np.reshape(doppler, shape), n
+
+
 class TestChiKappa:
     def test_same_path_is_one_zero(self):
         grid = OtfsGrid(doppler_bins=4, delay_bins=4)
@@ -229,6 +247,28 @@ class TestChiKappa:
         self.assert_tables_match_every_bin(ps, grid)
         chi_t, kap_t = chi_kappa_tables(ps.delay_taps, ps.doppler, 5)
         assert (chi_t[0, 1], kap_t[0, 1]) == (1.0, 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(batch=path_batches())
+    # Difference a hair below N on a shared tap, as in the dense check.
+    @example(batch=(np.array([1, 1, 0]), np.array([1.0, -2.0 + 2.8e-9, 0.0]),
+                    3))
+    def test_tables_equal_all_pairs_reference(self, batch):
+        # Evaluating only the same-delay pairs above the diagonal and
+        # mirroring them gives the all-pairs evaluation bit for bit.
+        got = chi_kappa_tables(*batch)
+        want = all_pairs_chi_kappa_tables(*batch)
+        for table, reference in zip(got, want):
+            assert table.shape == reference.shape == batch[1].shape + (
+                batch[1].shape[-1],)
+            assert table.tobytes() == reference.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(batch=path_batches())
+    def test_tables_are_symmetric(self, batch):
+        for table in chi_kappa_tables(*batch):
+            mirrored = np.swapaxes(table, -1, -2).copy()
+            assert table.tobytes() == mirrored.tobytes()
 
     def test_stacked_call_equals_per_link_calls(self):
         grid = OtfsGrid(doppler_bins=6, delay_bins=4)

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -158,8 +158,10 @@ class TestAchievableRate:
             report.rate_bps_hz * inst.grid.bandwidth_hz)
 
     def test_one_coefficient_call_per_user(self, monkeypatch):
-        # Every AP of a user shares one batched chi/kappa call, also
-        # inside a full desk realization.
+        # At most one chi/kappa call per user, and in fact exactly one per
+        # realization: a single (P, Q, L) call covers every link, whatever
+        # the user count, on the desk preset (general and distinct-delay
+        # paths) and on one paper 40 x 20 realization.
         calls = []
         batched = rate.chi_kappa_tables
 
@@ -169,13 +171,20 @@ class TestAchievableRate:
 
         monkeypatch.setattr(rate, "chi_kappa_tables", counted)
         inst = random_instance(5, n_aps=3, n_paths=3)
-        achievable_rate(1, inst)
-        assert calls == [(3, 3)]
-        calls.clear()
-        config = experiments.desk_preset(seed=1)
-        experiments.realize_user_rates(config, 8, 4, "uncorr",
-                                       substream(1, 0, 8, 4, 0))
-        assert calls == [(8, config.channel.n_paths)] * 4
+        for q in (1, 0, 1):
+            achievable_rate(q, inst)
+        assert calls == [(3, 2, 3)]
+        desk = experiments.desk_preset(seed=1)
+        distinct = replace(desk, channel=replace(desk.channel,
+                                                 distinct_delays=True))
+        for config, n_aps, n_users in ((desk, 8, 4), (distinct, 8, 4),
+                                       (experiments.paper_preset(seed=1),
+                                        40, 20)):
+            calls.clear()
+            experiments.realize_user_rates(
+                config, n_aps, n_users, "uncorr",
+                substream(1, 0, n_aps, n_users, 0))
+            assert calls == [(n_aps, n_users, config.channel.n_paths)]
 
 
 class TestDistinctDelayFastPath:
@@ -212,12 +221,10 @@ class TestDistinctDelayFastPath:
         with pytest.raises(DistinctDelayError, match=r"ap=1, user=1\)"):
             rate_distinct_delays(1, realization)
 
-    def test_constant_tables_are_the_general_tables(self, monkeypatch):
+    def test_constant_tables_are_the_general_tables(self):
         # On distinct taps the general coefficient tables are exactly the
-        # fast path's (I, 1 - I), and the fast path never computes them.
-        calls = []
-        monkeypatch.setattr(rate, "chi_kappa_tables",
-                            lambda *args: calls.append(args))
+        # constants (I, 1 - I), and the distinct-delay path reports the
+        # general rate byte for byte.
         for seed in range(4):
             inst = random_instance(seed, distinct=True, n_paths=3, n_aps=3)
             paths = inst.pathsets
@@ -227,9 +234,11 @@ class TestDistinctDelayFastPath:
             assert np.array_equal(chi, np.broadcast_to(eye, chi.shape))
             assert np.array_equal(kappa, np.broadcast_to(1.0 - eye,
                                                          kappa.shape))
+            fresh = replace(inst)  # no cached terms
             for q in range(inst.stats.n_users):
-                rate_distinct_delays(q, inst)
-        assert calls == []
+                fast = astuple(rate_distinct_delays(q, inst))
+                full = astuple(achievable_rate(q, fresh))
+                assert np.array(fast).tobytes() == np.array(full).tobytes()
 
     def test_single_user_has_no_interuser_term(self):
         # With one user the denominator only carries the intra-link part.
@@ -352,20 +361,40 @@ def small_networks(draw):
     return grid, 10.0 ** rng.uniform(-2, 0, shape), paths, rng
 
 
-def network_sinrs(grid, beta_paths, paths, rho_d=50.0, rho_u=10.0,
-                  rho_p=20.0):
-    """Every user's closed-form SINR, through the pipeline's statistics
-    and power control (no Doppler guard)."""
+def network_realization(grid, beta_paths, paths, rho_d=50.0, rho_u=10.0,
+                        rho_p=20.0):
+    """A Realization through the pipeline's statistics and power control
+    (no Doppler guard)."""
     stats = compute_link_stats(beta_paths, 0, 0, rho_p, rho_u, grid)
-    realization = Realization(grid, paths, stats, equal_power_control(stats),
-                              rho_d)
+    return Realization(grid, paths, stats, equal_power_control(stats), rho_d)
+
+
+def network_sinrs(*args):
+    """Every user's closed-form SINR of network_realization(*args)."""
+    realization = network_realization(*args)
     return np.array([achievable_rate(q, realization).sinr
-                     for q in range(stats.n_users)])
+                     for q in range(realization.stats.n_users)])
 
 
 def map_paths(paths, fn):
     return PathSet(*(fn(a) for a in (paths.delay_taps, paths.doppler,
                                      paths.gains)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(net=small_networks())
+def test_every_user_sinr_matches_dense_per_bin(net):
+    # The all-user routine against a reference it shares no algebra
+    # with: the per-bin SINR built from dense operator products, at
+    # every bin of every user.
+    grid, beta, paths, _ = net
+    realization = network_realization(grid, beta, paths)
+    for q in range(realization.stats.n_users):
+        profile = per_bin_sinr(q, realization.stats, realization.pc, paths,
+                               realization.rho_d, grid)
+        np.testing.assert_allclose(profile,
+                                   achievable_rate(q, realization).sinr,
+                                   rtol=1e-12)
 
 
 class TestInvariances:
@@ -422,6 +451,20 @@ class TestInvariances:
         doppler = paths.doppler.copy()
         doppler[tuple(rng.integers(0, doppler.shape))] += grid.doppler_bins
         shifted = PathSet(paths.delay_taps, doppler, paths.gains)
+        np.testing.assert_allclose(
+            network_sinrs(grid, beta, shifted),
+            network_sinrs(grid, beta, paths), rtol=INVARIANCE_RTOL)
+
+    @settings(max_examples=60, deadline=None)
+    @given(net=small_networks(), shift=st.integers(1, 5))
+    def test_cyclic_delay_shift_of_one_link(self, net, shift):
+        # A common cyclic shift (mod M) of one link's delay taps keeps
+        # which of its paths share a tap, so no SINR moves.
+        grid, beta, paths, rng = net
+        taps = paths.delay_taps.copy()
+        link = tuple(rng.integers(0, taps.shape[:2]))
+        taps[link] = (taps[link] + shift) % grid.delay_bins
+        shifted = PathSet(taps, paths.doppler, paths.gains)
         np.testing.assert_allclose(
             network_sinrs(grid, beta, shifted),
             network_sinrs(grid, beta, paths), rtol=INVARIANCE_RTOL)
