@@ -65,7 +65,7 @@ def cmd_run_cdf(args) -> int:
     manifest = experiments.write_run(args.out, data, "run-cdf", config, started,
                                      config.realizations * len(tables))
     for table in tables:
-        median, p5 = table.summary()
+        median, p5 = experiments.summary_stats(table.throughput)
         print(f"{table.mode}: {len(table.throughput)} samples, "
               f"median {median / 1e6:.3f} Mbit/s, "
               f"95%-likely {p5 / 1e6:.3f} Mbit/s")
@@ -141,7 +141,6 @@ def cmd_check_identities(args) -> int:
     print(f"distinct-delay diagonal:        {report.diag_zero_dev:.3e} "
           f"({report.n_diag_pairs} pairs)")
     print(f"row-sum magnitude deviation:    {report.row_sum_dev:.3e}")
-    print(f"all within tol {args.tol:.1e}: {report.passed}")
     return 0
 
 

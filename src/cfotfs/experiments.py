@@ -217,10 +217,8 @@ def realize_links(net: NetworkConfig, grid: OtfsGrid, channel: ChannelParams,
                   correlated: bool = False) -> Realization:
     """One network realization, drawn from rng: placement, shadowing, path
     sampling, MMSE statistics, equal power control and the per-AP load
-    check, each stage looked up in this module."""
-    if not 0 <= rho_d < math.inf:  # NaN fails too
-        raise ValueError("downlink power rho_d must be non-negative and "
-                         f"finite, got {rho_d}")
+    check, each stage looked up in this module. Realization checks
+    rho_d."""
     beta = apply_shadowing(place_network(net, rng), net, rng,
                            correlated=correlated)
     # Each path carries 1/L of its link's large-scale gain.
@@ -281,14 +279,8 @@ class CdfTable:
     mode: str
     n_aps: int
     n_users: int
-    realization: np.ndarray
-    user: np.ndarray
-    rate: np.ndarray  # bit/s/Hz
+    rate: np.ndarray  # bit/s/Hz, realization-major
     throughput: np.ndarray  # bit/s
-
-    def summary(self):
-        """(median, 5th percentile) of the throughput samples."""
-        return summary_stats(self.throughput)
 
 
 def summary_stats(samples):
@@ -318,12 +310,9 @@ def run_point(config: ExperimentConfig, n_aps: int, n_users: int,
             results = list(pool.map(_realization_task, tasks, chunksize=4))
     else:
         results = [_realization_task(t) for t in tasks]
-    realization = np.repeat(np.arange(config.realizations), n_users)
-    user = np.tile(np.arange(n_users), config.realizations)
     rate = np.concatenate([r for r, _ in results])
     tput = np.concatenate([t for _, t in results])
-    return CdfTable(mode=mode, n_aps=n_aps, n_users=n_users,
-                    realization=realization, user=user, rate=rate,
+    return CdfTable(mode=mode, n_aps=n_aps, n_users=n_users, rate=rate,
                     throughput=tput)
 
 
@@ -349,7 +338,7 @@ def run_vs_aps(config: ExperimentConfig) -> list:
         for n_users in user_counts:
             for n_aps in ap_counts:
                 table = run_point(config, n_aps, n_users, mode)
-                median, p5 = table.summary()
+                median, p5 = summary_stats(table.throughput)
                 rows.append({
                     "mode": mode,
                     "n_aps": n_aps,
@@ -383,11 +372,13 @@ def _csv_bytes(header: list, rows) -> bytes:
 
 
 def cdf_csv_bytes(tables: list) -> bytes:
+    """One row per sample; sample i of a table is user i % n_users of
+    realization i // n_users."""
     return _csv_bytes(CDF_HEADER, (
-        row for table in tables
-        for row in zip([table.mode] * len(table.throughput),
-                       table.realization.tolist(), table.user.tolist(),
-                       table.rate.tolist(), (table.throughput / 1e6).tolist())))
+        (table.mode, *divmod(i, table.n_users), rate, mbps)
+        for table in tables
+        for i, (rate, mbps) in enumerate(zip(
+            table.rate.tolist(), (table.throughput / 1e6).tolist()))))
 
 
 def sweep_csv_bytes(rows: list) -> bytes:

@@ -51,6 +51,8 @@ def random_instance(grid: OtfsGrid, n_aps: int, n_users: int, n_paths: int,
 # Trials are split into this many batches; standard errors come from the
 # spread of the per-batch statistics.
 BATCHES = 10
+# validate_rate checks at most 2 * BIN_LIMIT bins per user by default.
+BIN_LIMIT = 8
 
 
 @dataclass
@@ -210,17 +212,16 @@ class ValidationReport:
         }
 
 
-def _default_bins(grid: OtfsGrid, limit: int = 8) -> list:
+def _default_bins(grid: OtfsGrid) -> list:
     """Bins spread across both coordinates: all of them on small grids,
     otherwise a deterministic sample mixing delay and Doppler offsets."""
-    if grid.size <= 2 * limit:
+    if grid.size <= 2 * BIN_LIMIT:
         return list(range(grid.size))
     m = grid.delay_bins
     picks = {0, m // 2, m - 1, m * (grid.doppler_bins // 2),
              m * (grid.doppler_bins // 2) + m // 2, grid.size - 1}
-    step = max(grid.size // limit, 1)
-    picks.update(range(0, grid.size, step))
-    return sorted(picks)[:2 * limit]
+    picks.update(range(0, grid.size, grid.size // BIN_LIMIT))
+    return sorted(picks)[:2 * BIN_LIMIT]
 
 
 def validate_rate(instance: rate_mod.Realization, trials: int, seed=None,
@@ -232,24 +233,25 @@ def validate_rate(instance: rate_mod.Realization, trials: int, seed=None,
     gate. Also flags, per user, empirical SINR spread across bins that
     exceeds the statistical noise scale. Each (user, bin) simulates from
     the integer master seed offset by 7919 q + 104729 r; a Generator (or
-    None) draws that master. Raises ValueError unless the gate is positive
-    and finite.
+    None) draws that master. The closed form, the same at every bin, is
+    read from the instance's cached terms. Raises ValueError unless the
+    gate is positive and finite and users and bins are non-empty.
     """
     if not 0.0 < gate < np.inf:
         raise ValueError(f"gate must be positive and finite, got {gate!r}")
     grid = instance.grid
-    users = range(instance.stats.n_users) if users is None else users
+    users = list(range(instance.stats.n_users) if users is None else users)
     bins = _default_bins(grid) if bins is None else list(bins)
+    if not users or not bins:
+        raise ValueError("validate_rate needs at least one user and one "
+                         f"bin, got users {users} and bins {bins}")
     seed = as_int_seed(seed)
     # estimate_terms runs whole batches of trials.
     report = ValidationReport(gate=gate, trials=trials // BATCHES * BATCHES)
     for q in users:
-        # The closed form takes the same value at every bin.
-        ds_cf, bu_cf, isi_cf, iui_cf = rate_mod.closed_form_terms(
-            q, 0, instance.stats, instance.pc, instance.pathsets, grid)
-        sinr_cf = float(rate_mod.assemble_sinr(
-            ds_cf, bu_cf + isi_cf + iui_cf, instance.rho_d))
-        closed = {"ds": ds_cf, "bu": bu_cf, "isi": isi_cf, "iui": iui_cf}
+        sinr_cf = rate_mod.achievable_rate(q, instance).sinr
+        closed = dict(zip(("ds", "bu", "isi", "iui"),
+                          (float(t[q]) for t in instance.terms)))
         emp_sinrs = []
         noise_scales = []
         for r in bins:

@@ -47,13 +47,27 @@ def power_constraint_load(stats: LinkStats, pc: PowerControl) -> np.ndarray:
 @dataclass(frozen=True)
 class Realization:
     """One network realization: what the rate functions and oracle read.
-    Frozen, since terms caches every user's SINR terms on first use."""
+    Frozen, since terms caches every user's SINR terms on first use; edit
+    no array in place once terms has been read, or the cache goes stale.
+    Raises ValueError unless the delay taps, beta and gamma are (P, Q, L),
+    eta is (P, Q) and rho_d is non-negative and finite."""
 
     grid: OtfsGrid
     pathsets: PathSet
     stats: LinkStats
     pc: PowerControl
     rho_d: float
+
+    def __post_init__(self):
+        taps, beta = self.pathsets.delay_taps.shape, self.stats.beta.shape
+        gamma, eta = self.stats.gamma.shape, self.pc.eta.shape
+        if len(beta) != 3 or not taps == gamma == beta or eta != beta[:2]:
+            raise ValueError(f"realization shapes disagree: delay taps {taps}, "
+                             f"beta {beta} and gamma {gamma} must be "
+                             f"(P, Q, L), eta {eta} (P, Q)")
+        if not 0 <= self.rho_d < np.inf:  # NaN fails too
+            raise ValueError("downlink power rho_d must be non-negative and "
+                             f"finite, got {self.rho_d}")
 
     @cached_property
     def terms(self):
@@ -114,12 +128,13 @@ def closed_form_terms(q: int, r: int, stats: LinkStats, pc: PowerControl,
     """The four SINR terms of user q at bin r (desired-signal mean,
     beamforming-uncertainty variance, inter-symbol and inter-user
     interference powers), normalized by the downlink SNR: user q's entries
-    of Realization.terms, which no rho_d enters. Used by the Monte Carlo
-    validator; the benchmark passes these six arguments positionally, the
-    unused r too, so they stay until its revision (ROADMAP item 5)."""
+    of Realization.terms, which no rho_d enters. Nothing in the library
+    calls it: it is the frozen benchmark's adapter, kept for it and the
+    tests that use it, which pass these six arguments positionally, the
+    unused r too. It goes with the benchmark's revision (ROADMAP item 5)."""
     check_index("bin", r, grid.size)
     check_index("user", q, stats.n_users)
-    terms = Realization(grid, pathsets, stats, pc, rho_d=np.nan).terms
+    terms = Realization(grid, pathsets, stats, pc, rho_d=0.0).terms
     return tuple(float(t[q]) for t in terms)
 
 

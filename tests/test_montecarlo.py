@@ -10,15 +10,15 @@ import pytest
 
 from dense_reference import explicit_terms, per_bin_sinr
 
-from cfotfs import experiments, montecarlo, operators
+from cfotfs import experiments, montecarlo, operators, rate
 from cfotfs.channel import OtfsGrid, PathSet
 from cfotfs.estimation import LinkStats
 from cfotfs.exceptions import EstimateStatisticsError
 from cfotfs.montecarlo import (BATCHES, estimate_terms, random_instance,
                                validate_rate)
 from cfotfs.operators import dd_operator
-from cfotfs.rate import (PowerControl, Realization, closed_form_terms,
-                         equal_power_control)
+from cfotfs.rate import (PowerControl, Realization, achievable_rate,
+                         closed_form_terms, equal_power_control)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -323,6 +323,35 @@ class TestValidateRate:
         inst = desk_instance(3)
         with pytest.raises(ValueError, match="user index -1 outside"):
             validate_rate(inst, trials=500, seed=1, bins=[0], users=[-1])
+
+    @pytest.mark.parametrize("request_kw", [{"users": []}, {"bins": []},
+                                            {"users": (), "bins": [0]}])
+    def test_empty_request_rejected(self, request_kw):
+        # No user used to pass with zero checks, and no bin raised a raw
+        # "max() arg is an empty sequence".
+        with pytest.raises(ValueError, match="at least one user and one bin"):
+            validate_rate(desk_instance(3), trials=20, seed=1, **request_kw)
+
+    def test_reads_the_cached_closed_form(self, monkeypatch):
+        # One chi/kappa call for the whole instance, not one per user, and
+        # the reported closed form is each user's cached terms and rate.
+        calls = []
+        batched = rate.chi_kappa_tables
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return batched(*args, **kwargs)
+
+        monkeypatch.setattr(rate, "chi_kappa_tables", counted)
+        inst = three_user_instance()
+        report = validate_rate(inst, trials=20, seed=1, bins=[0, 5])
+        assert calls == [(2, 3, 3)]
+        assert len(report.checks) == 6
+        for check in report.checks:
+            q = check.user
+            assert check.terms_closed == dict(zip(
+                ("ds", "bu", "isi", "iui"), (t[q] for t in inst.terms)))
+            assert check.sinr_closed == achievable_rate(q, inst).sinr
 
     def test_interference_limited_regime(self):
         # Very large downlink power: SINR saturates at the interference

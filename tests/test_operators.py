@@ -5,6 +5,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from dense_reference import (all_pairs_chi_kappa_tables,
                              brute_force_operator, chi_kappa)
 
+from cfotfs import operators
 from cfotfs.channel import OtfsGrid, PathSet, sample_all_paths
 from cfotfs.exceptions import IdentityCheckError
 from cfotfs.operators import (chi_kappa_tables, dd_blocks, dd_operator,
@@ -363,7 +364,6 @@ class TestIdentityChecks:
         grid = OtfsGrid(doppler_bins=4, delay_bins=8)
         ps = sample_all_paths(np.ones(12), 7, 1, grid, seed=3)
         report = verify_operator_identities(ps, grid, tol=1e-9)
-        assert report.passed
         assert report.unitarity_dev < 1e-9
         assert report.diag_zero_dev < 1e-9
         assert report.row_sum_dev < 1e-9
@@ -387,6 +387,24 @@ class TestIdentityChecks:
         ps = make_pathset([1], [0])
         with pytest.raises(IdentityCheckError, match="unitarity"):
             verify_operator_identities(ps, grid, tol=1e-30)
+
+    def test_nan_deviation_raises(self, monkeypatch):
+        # A NaN deviation fails every "<= tol" test, and one NaN operator
+        # after the first must not vanish from the worst unitarity
+        # deviation (max() over Python floats drops it).
+        grid = OtfsGrid(doppler_bins=4, delay_bins=8)
+        dense = operators.dd_operator
+
+        def nan_second(delay_tap, doppler, grid):
+            mats = dense(delay_tap, doppler, grid)
+            mats[1] = np.nan
+            return mats
+
+        monkeypatch.setattr(operators, "dd_operator", nan_second)
+        ps = sample_all_paths(np.ones(3), 7, 1, grid, seed=3)
+        with pytest.raises(IdentityCheckError,
+                           match="unitarity violated: deviation nan"):
+            verify_operator_identities(ps, grid)
 
     @pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf])
     def test_tolerance_must_be_positive_and_finite(self, tol):

@@ -81,6 +81,40 @@ class TestEqualPowerControl:
             equal_power_control(stats)
 
 
+class TestRealization:
+    @pytest.mark.parametrize("taps_shape", [(2, 3, 1), (1, 3, 2), (2, 3)])
+    def test_mismatched_path_shapes_rejected(self, taps_shape):
+        # Paths shaped (P, Q, 1) or (1, Q, L) against (P, Q, L) statistics
+        # used to broadcast into a wrong SINR with no error.
+        stats = make_stats(np.ones((2, 3, 2)), np.full((2, 3, 2), 0.5))
+        paths = PathSet(delay_taps=np.zeros(taps_shape, int),
+                        doppler=np.zeros(taps_shape),
+                        gains=np.ones(taps_shape))
+        with pytest.raises(ValueError, match=r"delay taps \(" +
+                           ", ".join(map(str, taps_shape))):
+            Realization(OtfsGrid(2, 4), paths, stats,
+                        equal_power_control(stats), 1.0)
+
+    def test_mismatched_estimate_variances_rejected(self):
+        grid, _, pc, pathsets = single_link_setup()
+        stats = make_stats([[[1.0]]], [[[0.5, 0.5]]])
+        with pytest.raises(ValueError, match=r"gamma \(1, 1, 2\)"):
+            Realization(grid, pathsets, stats, pc, 1.0)
+
+    def test_mismatched_power_control_rejected(self):
+        grid, stats, _, pathsets = single_link_setup()
+        with pytest.raises(ValueError, match=r"eta \(1, 2\)"):
+            Realization(grid, pathsets, stats, PowerControl(np.ones((1, 2))),
+                        1.0)
+
+    @pytest.mark.parametrize("rho_d", [-5.0, np.nan, np.inf])
+    def test_downlink_power_must_be_nonnegative_and_finite(self, rho_d):
+        grid, stats, pc, pathsets = single_link_setup()
+        with pytest.raises(ValueError, match="rho_d must be non-negative and "
+                                             f"finite, got {rho_d}"):
+            Realization(grid, pathsets, stats, pc, rho_d)
+
+
 class TestSinr:
     def test_single_link_hand_formula(self):
         # One AP, one user, one path: numerator rho*eta*gamma^2 against
